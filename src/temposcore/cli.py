@@ -21,7 +21,6 @@ from pathlib import Path
 from .evaluation import aggregate
 from .grpo import GrpoConfig, ScenarioError, load_scenario, run_simulation, standard_reward_fn
 from .intervals import Interval, iou
-from .parsing import TaskKind, extract_intervals
 from .records import (
     DatasetError,
     load_dataset,
@@ -30,8 +29,9 @@ from .records import (
 )
 from .rewards import (
     TalConfig,
+    _dp_table,
+    _sorted_chrono,
     dp_match,
-    instance_number_reward,
     sequential_match,
     total_reward,
 )
@@ -107,14 +107,7 @@ def cmd_reward(args: argparse.Namespace) -> int:
             s.prediction_raw, s.task, s.gt_intervals, s.gt_answer,
             cfg=tal_cfg, strict=cfg.strict_parse, tal_normalize=cfg.tal_normalize,
         )
-        match = None
-        num = None
-        if s.task is TaskKind.TAL:
-            preds = extract_intervals(s.prediction_raw, s.task)
-            if preds is not None:
-                match = dp_match(preds, s.gt_intervals)
-                num = instance_number_reward(len(preds), len(s.gt_intervals), cfg.sigma)
-        lines.append(render_reward_record(s, breakdown, match=match, num_reward=num))
+        lines.append(render_reward_record(s, breakdown))
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return EXIT_OK
 
@@ -136,8 +129,8 @@ def parse_inline_intervals(text: str) -> tuple[Interval, ...]:
 
 
 def _match_table(preds: tuple[Interval, ...], gts: tuple[Interval, ...], compare: bool) -> str:
-    sp = sorted(preds, key=lambda iv: (iv.start, iv.end))
-    sg = sorted(gts, key=lambda iv: (iv.start, iv.end))
+    sp = _sorted_chrono(preds)
+    sg = _sorted_chrono(gts)
 
     lines = ["preds (sorted):"]
     lines.extend(f"  p{i}: {iv.start:g} to {iv.end:g}" for i, iv in enumerate(sp))
@@ -151,13 +144,8 @@ def _match_table(preds: tuple[Interval, ...], gts: tuple[Interval, ...], compare
         row = " ".join(f"{iou(p, g):6.4f}" for g in sg)
         lines.append(f"  p{i:<3} {row}")
 
-    # rebuild the DP table for display; dp_match owns the real backtrack
-    d = [[0.0] * (len(sg) + 1) for _ in range(len(sp) + 1)]
-    for i in range(1, len(sp) + 1):
-        for j in range(1, len(sg) + 1):
-            d[i][j] = max(d[i - 1][j], d[i][j - 1], d[i - 1][j - 1] + iou(sp[i - 1], sg[j - 1]))
     lines.append("dp table (rows 0..m, cols 0..n):")
-    for row in d:
+    for row in _dp_table(sp, sg)[0]:
         lines.append("  " + " ".join(f"{v:6.4f}" for v in row))
 
     dp = dp_match(preds, gts)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .intervals import Interval, iou, merge, set_iou
 from .parsing import TaskKind, extract_answer_text, extract_intervals, parse, ParseError
-from .rewards import classification_reward, dp_match, reward_type1
+from .rewards import _prf, classification_reward, dp_match, reward_type1
 
 RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
 TAL_THRESHOLDS = (0.1, 0.3, 0.5, 0.7)
@@ -189,10 +189,7 @@ def eval_tal(samples: Sequence[Sample], strict: bool = False, clamp: bool = Fals
         match = dp_match(preds, s.gt_intervals)
         for t in TAL_THRESHOLDS:
             tp = sum(1 for v in match.pair_ious if v >= t)
-            precision = tp / len(preds) if preds else 0.0
-            recall = tp / len(s.gt_intervals)
-            f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-            per_threshold[t].append(f1)
+            per_threshold[t].append(_prf(tp, len(preds), len(s.gt_intervals))[2])
     block.f1_at = {t: _mean(v) for t, v in per_threshold.items()}
     block.mf1 = _mean(list(block.f1_at.values()))
     return block

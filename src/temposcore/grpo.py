@@ -530,6 +530,8 @@ _DEFAULT_MAX_INSTANCES = 6
 
 
 def _prompt_from_dict(d: dict, position: int) -> PromptSpec:
+    if not isinstance(d, dict):
+        raise ScenarioError(f"prompt {position}: must be an object")
     for key in d:
         if key not in _PROMPT_KEYS:
             raise ScenarioError(f"prompt {position}: unknown scenario key '{key}'")

@@ -65,7 +65,11 @@ class ParsedOutput:
 
 
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_PAIR_RE = re.compile(rf"({_NUMBER})\s*to\s*({_NUMBER})", re.IGNORECASE)
+# A pair never starts at a digit right after a digit: the scan's match or
+# failure at the start of that digit run already covers it. The guard skips
+# those starts, which keeps the scan linear on long digit runs; a start at
+# "." after a digit (as in "1.2.3 to 4") is still tried.
+_PAIR_RE = re.compile(rf"(?:(?<!\d)|(?=\.))({_NUMBER})\s*to\s*({_NUMBER})", re.IGNORECASE)
 _ENTRY_RE = re.compile(rf"\s*({_NUMBER})\s*to\s*({_NUMBER})\s*\Z", re.IGNORECASE)
 
 _ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)

@@ -26,7 +26,7 @@ from .evaluation import (
 )
 from .intervals import Interval
 from .parsing import TaskKind
-from .rewards import MatchResult, RewardBreakdown
+from .rewards import RewardBreakdown
 
 REPORT_VERSION = 1
 
@@ -162,12 +162,7 @@ def render_report(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_reward_record(
-    sample: Sample,
-    breakdown: RewardBreakdown,
-    match: MatchResult | None = None,
-    num_reward: float | None = None,
-) -> str:
+def render_reward_record(sample: Sample, breakdown: RewardBreakdown) -> str:
     parts = [
         f"id={sample.id}",
         f"task={sample.task.value}",
@@ -176,8 +171,9 @@ def render_reward_record(
         f"cls={'-' if breakdown.classification is None else int(breakdown.classification)}",
         f"total={_fmt(breakdown.total)}",
     ]
-    if num_reward is not None:
-        parts.append(f"num={_fmt(num_reward)}")
+    if breakdown.num is not None:
+        parts.append(f"num={_fmt(breakdown.num)}")
+    match = breakdown.match
     if match is not None:
         parts.append(f"siou={_fmt(match.siou)}")
         parts.append(f"f1={_fmt(match.f1)}")

@@ -17,8 +17,9 @@ answer reward for GVQA.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
 
 from .intervals import Interval, iou, merge, set_iou
@@ -59,12 +60,19 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    """Per-sample reward components; total = format + localization (+ classification)."""
+    """Per-sample reward components; total = format + localization (+ classification).
+
+    For a TAL sample whose answer block was found, ``match`` and ``num`` hold
+    the two terms of the many-to-many reward (before ``tal_normalize``);
+    they are None otherwise.
+    """
 
     format: float
     localization: float
     classification: float | None
     total: float
+    match: MatchResult | None = None
+    num: float | None = None
 
 
 def _sorted_chrono(xs: Sequence[Interval]) -> list[Interval]:
@@ -125,6 +133,69 @@ def _iou_matrix(preds: list[Interval], gts: list[Interval]) -> list[list[float]]
     return [[iou(p, g) for g in gts] for p in preds]
 
 
+_Window = tuple[int, list[float]]
+
+
+def _dp_table(sp: list[Interval], sg: list[Interval]) -> tuple[list[list[float]], list[_Window]]:
+    """DP table of the monotone matching of two chronologically sorted lists.
+
+    ``d[i][j]`` is the best summed IoU of the first i predictions against the
+    first j ground truths. Prediction i also gets a window ``(lo, ious)``:
+    ``ious[k]`` is its IoU with ground truth ``lo + k``, computed as
+    :func:`iou` does, and its IoU with every ground truth outside the window
+    is exactly 0.0. A non-zero IoU needs ``g.start <= p.end`` (bounded by a
+    bisect on the sorted starts) and ``g.end >= p.start`` (bounded by a
+    bisect on the running maximum of the ends).
+
+    A zero cell never changes the recurrence: ``d[i-1][j-1] + 0.0`` never
+    beats ``d[i-1][j]`` because rows are non-decreasing. So row i equals row
+    i-1 left of the window, and right of it until the two meet again; only
+    that stretch is computed, and every value is the double the full
+    recurrence would give.
+    """
+    n = len(sg)
+    g_start = [g.start for g in sg]
+    g_end = [g.end for g in sg]
+    reach = list(accumulate(g_end, max))
+    prev = [0.0] * (n + 1)
+    d = [prev]
+    windows: list[_Window] = []
+    for p in sp:
+        ps, pe = p.start, p.end
+        lo = bisect_left(reach, ps)
+        hi = bisect_right(g_start, pe)
+        ious: list[float] = []
+        windows.append((lo, ious))
+        row = prev[:]
+        left = row[lo]
+        for j in range(lo, hi):
+            gs, ge = g_start[j], g_end[j]
+            # iou(p, g) on plain floats, with min/max tie order kept
+            inter = (ge if ge < pe else pe) - (gs if gs > ps else ps)
+            if inter < 0.0:
+                inter = 0.0
+            union = (pe - ps) + (ge - gs) - inter
+            if union <= 0.0:
+                v = 1.0 if (ps == gs and pe == ge) else 0.0
+            else:
+                v = inter / union
+            ious.append(v)
+            best = prev[j] + v
+            if best < left:
+                best = left
+            up = prev[j + 1]
+            if best < up:
+                best = up
+            row[j + 1] = left = best
+        for j in range(hi + 1, n + 1):
+            if left <= prev[j]:
+                break
+            row[j] = left
+        d.append(row)
+        prev = row
+    return d, windows
+
+
 def dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
     """Monotone matching maximizing summed IoU, via dynamic programming.
 
@@ -133,7 +204,8 @@ def dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
     and the backtrack prefers the diagonal on ties, then skipping a ground
     truth, then skipping a prediction, which makes the reported pairing
     deterministic and maximizes the number of matched pairs among
-    sIoU-equal solutions.
+    sIoU-equal solutions. Only cells that can have a non-zero IoU are
+    computed (see :func:`_dp_table`).
     """
     if not gts:
         raise ValueError("ground truth must contain at least one interval")
@@ -143,37 +215,25 @@ def dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
     sp = _sorted_chrono(preds)
     sg = _sorted_chrono(gts)
     m, n = len(sp), len(sg)
-    ious = _iou_matrix(sp, sg)
-
-    d = [[0.0] * (n + 1) for _ in range(m + 1)]
-    # choice codes: 2 = diagonal (match), 1 = skip gt, 0 = skip pred
-    path = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            skip_pred = d[i - 1][j]
-            skip_gt = d[i][j - 1]
-            diag = d[i - 1][j - 1] + ious[i - 1][j - 1]
-            if diag >= skip_pred and diag >= skip_gt:
-                d[i][j] = diag
-                path[i][j] = 2
-            elif skip_gt >= skip_pred:
-                d[i][j] = skip_gt
-                path[i][j] = 1
-            else:
-                d[i][j] = skip_pred
-                path[i][j] = 0
+    d, windows = _dp_table(sp, sg)
 
     pairs: list[tuple[int, int]] = []
     pair_ious: list[float] = []
     i, j = m, n
     while i > 0 and j > 0:
-        if path[i][j] == 2:
-            if ious[i - 1][j - 1] > 0.0:
+        lo, ious = windows[i - 1]
+        k = j - 1 - lo
+        v = ious[k] if 0 <= k < len(ious) else 0.0
+        skip_pred = d[i - 1][j]
+        skip_gt = d[i][j - 1]
+        diag = d[i - 1][j - 1] + v
+        if diag >= skip_pred and diag >= skip_gt:
+            if v > 0.0:
                 pairs.append((i - 1, j - 1))
-                pair_ious.append(ious[i - 1][j - 1])
+                pair_ious.append(v)
             i -= 1
             j -= 1
-        elif path[i][j] == 1:
+        elif skip_gt >= skip_pred:
             j -= 1
         else:
             i -= 1
@@ -243,11 +303,20 @@ def brute_force_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> Mat
     return MatchResult(pairs, pair_ious, best_siou, precision, recall, f1)
 
 
+def _tal_terms(
+    preds: Sequence[Interval], gts: Sequence[Interval], cfg: TalConfig
+) -> tuple[float, float, MatchResult]:
+    """The TAL reward with its terms: (num + match.f1, num, match)."""
+    num = instance_number_reward(len(preds), len(gts), cfg.sigma)
+    match = dp_match(preds, gts)
+    return num + match.f1, num, match
+
+
 def reward_tal(preds: Sequence[Interval], gts: Sequence[Interval], cfg: TalConfig) -> float:
     """Many-to-many reward: instance-number reward plus matching F1, in (0, 2]."""
     if not gts:
         raise ValueError("ground truth must contain at least one interval")
-    return instance_number_reward(len(preds), len(gts), cfg.sigma) + dp_match(preds, gts).f1
+    return _tal_terms(preds, gts, cfg)[0]
 
 
 _OPTION_SEPARATORS = ".):,;!? \t"
@@ -320,7 +389,12 @@ def total_reward(
 
     fmt = float(format_reward(raw, task, strict=strict))
     preds = extract_intervals(raw, task)
-    loc = localization_reward(preds, task, gts, cfg)
+    match: MatchResult | None = None
+    num: float | None = None
+    if task is TaskKind.TAL and preds is not None:
+        loc, num, match = _tal_terms(preds, gts, cfg)
+    else:
+        loc = localization_reward(preds, task, gts, cfg)
     if task is TaskKind.TAL and tal_normalize:
         loc *= 0.5
 
@@ -331,4 +405,6 @@ def total_reward(
         answer = extract_answer_text(raw)
         cls = float(classification_reward(answer, gt_answer)) if answer is not None else 0.0
         total += cls
-    return RewardBreakdown(format=fmt, localization=loc, classification=cls, total=total)
+    return RewardBreakdown(
+        format=fmt, localization=loc, classification=cls, total=total, match=match, num=num
+    )

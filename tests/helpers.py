@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from temposcore import EvalReport
+from typing import Sequence
+
+from temposcore import EvalReport, Interval, MatchResult, iou
 
 GARBAGE_PREDICTION = "uh, somewhere near the start probably??"
 
@@ -22,3 +24,62 @@ def collect_metrics(report: EvalReport) -> dict[str, float]:
                 for t, v in mapping.items():
                     out[f"{prefix}.{attr}@{t}"] = v
     return out
+
+
+def dense_dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
+    """Reference monotone matching: the full O(m*n) DP with an explicit path table.
+
+    This is the original form of :func:`temposcore.dp_match`, kept as an
+    oracle: it computes every IoU cell and records each cell's choice
+    (diagonal on ties, then skip a ground truth, then skip a prediction).
+    """
+    if not gts:
+        raise ValueError("ground truth must contain at least one interval")
+    if not preds:
+        return MatchResult(pairs=(), pair_ious=(), siou=0.0, precision=0.0, recall=0.0, f1=0.0)
+
+    sp = sorted(preds, key=lambda iv: (iv.start, iv.end))
+    sg = sorted(gts, key=lambda iv: (iv.start, iv.end))
+    m, n = len(sp), len(sg)
+    ious = [[iou(p, g) for g in sg] for p in sp]
+
+    d = [[0.0] * (n + 1) for _ in range(m + 1)]
+    # choice codes: 2 = diagonal (match), 1 = skip gt, 0 = skip pred
+    path = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            skip_pred = d[i - 1][j]
+            skip_gt = d[i][j - 1]
+            diag = d[i - 1][j - 1] + ious[i - 1][j - 1]
+            if diag >= skip_pred and diag >= skip_gt:
+                d[i][j] = diag
+                path[i][j] = 2
+            elif skip_gt >= skip_pred:
+                d[i][j] = skip_gt
+                path[i][j] = 1
+            else:
+                d[i][j] = skip_pred
+                path[i][j] = 0
+
+    pairs: list[tuple[int, int]] = []
+    pair_ious: list[float] = []
+    i, j = m, n
+    while i > 0 and j > 0:
+        if path[i][j] == 2:
+            if ious[i - 1][j - 1] > 0.0:
+                pairs.append((i - 1, j - 1))
+                pair_ious.append(ious[i - 1][j - 1])
+            i -= 1
+            j -= 1
+        elif path[i][j] == 1:
+            j -= 1
+        else:
+            i -= 1
+    pairs.reverse()
+    pair_ious.reverse()
+
+    siou = d[m][n]
+    precision = siou / m
+    recall = siou / n
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return MatchResult(tuple(pairs), tuple(pair_ious), siou, precision, recall, f1)

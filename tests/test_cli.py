@@ -206,6 +206,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_non_object_prompt_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"prompts": [1]}))
+        assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
+        assert "prompt 0: must be an object" in capsys.readouterr().err
+
     def test_scenario_grpo_config_with_flag_override(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({

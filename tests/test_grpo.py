@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from temposcore import (
     GrpoConfig,
@@ -68,9 +68,18 @@ class TestGroupAdvantages:
         st.floats(-5.0, 5.0),
     )
     def test_affine_invariance(self, rewards, scale, shift):
+        # invariant only while neither group's std falls below the 1e-6 floor
+        assume(np.std(rewards) * min(scale, 1.0) >= 1e-6)
         base = np.array(group_advantages(rewards))
         transformed = np.array(group_advantages([scale * r + shift for r in rewards]))
         assert np.allclose(base, transformed, atol=1e-9)
+
+    def test_std_floor_breaks_affine_invariance(self):
+        # popstd 5e-7, and 2.5e-7 after scaling by 0.5: both are floored to 1e-6
+        rewards = [0.0, 1e-06]
+        assert group_advantages(rewards) == pytest.approx([-0.5, 0.5], abs=1e-12)
+        scaled = [0.5 * r for r in rewards]
+        assert group_advantages(scaled) == pytest.approx([-0.25, 0.25], abs=1e-12)
 
 
 class TestClippedObjective:

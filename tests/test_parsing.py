@@ -1,7 +1,9 @@
 import random
+import re
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from temposcore import (
     Interval,
@@ -15,6 +17,7 @@ from temposcore import (
     parse,
     serialize,
 )
+from temposcore.parsing import _NUMBER, _PAIR_RE
 
 MULTI_TASKS = [TaskKind.DTG, TaskKind.VHD, TaskKind.TAL]
 
@@ -191,6 +194,33 @@ class TestLenientExtraction:
     def test_answer_text_missing(self):
         assert extract_answer_text("nothing") is None
         assert extract_answer_text("<answer>  </answer>") is None
+
+    def test_scan_linear_on_digit_run(self):
+        # a quadratic scan would take ~256x as long on 16x the digits
+        def best_time(n_digits):
+            raw = "<answer>" + "1" * n_digits + "</answer>"
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                assert extract_intervals(raw, TaskKind.TAL) == ()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best_time(1 << 20) < 64 * best_time(1 << 16)
+
+
+# The lenient pair pattern without its scan-start guard: the guard may only
+# skip starts that cannot change the matches.
+_UNGUARDED_PAIR_RE = re.compile(rf"({_NUMBER})\s*to\s*({_NUMBER})", re.IGNORECASE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789.eE+- tToO,x", max_size=40))
+@example("1 to 5e3.5 to 7")
+@example("1.2.3 to 4")
+@example("12 to 345to6.7.8 TO 9e+1")
+def test_pair_scan_matches_unguarded_pattern(text):
+    assert _PAIR_RE.findall(text) == _UNGUARDED_PAIR_RE.findall(text)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import dense_dp_match
+
 from temposcore import (
     Interval,
     TalConfig,
@@ -26,6 +28,12 @@ def ivs(pairs):
 timestamps = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
 interval_strategy = st.tuples(timestamps, timestamps).map(lambda p: Interval(min(p), max(p)))
 interval_lists = st.lists(interval_strategy, min_size=1, max_size=6)
+# whole seconds on a short axis: exact IoU ties and zero-length intervals are common
+grid_timestamps = st.integers(0, 12)
+grid_interval_strategy = st.one_of(
+    st.tuples(grid_timestamps, grid_timestamps).map(lambda p: Interval(min(p), max(p))),
+    grid_timestamps.map(lambda t: Interval(t, t)),
+)
 
 
 class TestType1:
@@ -144,6 +152,38 @@ class TestDpMatch:
         preds = ivs([(0, 10), (20, 30)])
         gts = ivs([(18, 28), (40, 50)])
         assert dp_match(preds, gts).siou > sequential_match(preds, gts).siou
+
+    def test_exact_tie_prefers_diagonal(self):
+        # both preds have IoU 2/11 with the gt; the backtrack keeps the later one
+        m = dp_match(ivs([(9, 12), (18, 21)]), ivs([(10, 20)]))
+        assert m.pairs == ((1, 0),)
+        assert m.pair_ious == (2 / 11,)
+
+    def test_exact_tie_skips_gt_before_pred(self):
+        # p0-g1 and p1-g0 both score 0.5; at the last cell skipping g1 wins
+        m = dp_match(ivs([(2, 4), (3, 6)]), ivs([(0, 6), (2, 3)]))
+        assert m.pairs == ((1, 0),)
+
+    @given(
+        st.lists(grid_interval_strategy, max_size=12),
+        st.lists(grid_interval_strategy, min_size=1, max_size=12),
+    )
+    def test_equals_dense_oracle_on_ties(self, preds, gts):
+        got = dp_match(preds, gts)
+        want = dense_dp_match(preds, gts)
+        assert got.siou.hex() == want.siou.hex()
+        assert got == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.one_of(interval_strategy, grid_interval_strategy), max_size=60),
+        st.lists(st.one_of(interval_strategy, grid_interval_strategy), min_size=1, max_size=60),
+    )
+    def test_equals_dense_oracle_on_long_lists(self, preds, gts):
+        got = dp_match(preds, gts)
+        want = dense_dp_match(preds, gts)
+        assert got.siou.hex() == want.siou.hex()
+        assert got == want
 
     @given(interval_lists, interval_lists)
     def test_pairs_strictly_monotone(self, preds, gts):
@@ -283,6 +323,19 @@ class TestTotalReward:
     def test_tal_missing_block_scores_zero(self):
         b = total_reward("junk", TaskKind.TAL, ivs([(2, 8)]))
         assert b.localization == 0.0 and b.total == 0.0
+        assert b.match is None and b.num is None
+
+    def test_tal_breakdown_carries_terms(self):
+        gts = ivs([(2, 8)])
+        raw = "<answer>0.0 to 4.0, 6.0 to 10.0</answer>"
+        b = total_reward(raw, TaskKind.TAL, gts, tal_normalize=True)
+        assert b.match == dp_match(ivs([(0, 4), (6, 10)]), gts)
+        assert b.num == instance_number_reward(2, 1, 1.0)
+        assert b.localization == 0.5 * (b.num + b.match.f1)
+
+    def test_non_tal_breakdown_has_no_terms(self):
+        b = total_reward("<answer>0.0 to 4.0</answer>", TaskKind.DTG, ivs([(2, 8)]))
+        assert b.match is None and b.num is None
 
     def test_tal_normalize_flag(self):
         gts = ivs([(0, 5), (10, 15)])
