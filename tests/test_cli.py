@@ -188,6 +188,21 @@ class TestSimulateCommand:
         assert last > first
         assert any(ln.startswith("final prompt=0") for ln in lines)
 
+    @pytest.mark.parametrize(
+        "scenario, seed, extra, golden",
+        [
+            ("tg_basic.json", 7, [], "simulate_tg_basic_s7.txt"),
+            ("tal_three.json", 0, [], "simulate_tal_three_s0.txt"),
+            ("tal_three.json", 0, ["--tal-normalize", "--group-size", "4"],
+             "simulate_tal_three_s0_norm_g4.txt"),
+        ],
+    )
+    def test_golden_seeded_output(self, capsys, scenario, seed, extra, golden):
+        code = main(["simulate", "--scenario", str(SCENARIOS / scenario),
+                     "--steps", "200", "--seed", str(seed), *extra])
+        assert code == 0
+        assert capsys.readouterr().out == (FIXTURES / golden).read_text()
+
     def test_identical_invocations_identical_output(self, tmp_path):
         args = ["simulate", "--scenario", str(SCENARIOS / "tg_basic.json"),
                 "--steps", "20", "--seed", "3"]
