@@ -46,11 +46,6 @@ class RunConfig:
     """User-facing knobs shared across commands."""
 
     sigma: float = 1.0
-    clip_eps: float = 0.2
-    kl_beta: float = 0.04
-    group_size: int = 8
-    learning_rate: float = 0.5
-    seed: int = 0
     clamp_to_duration: bool = False
     strict_parse: bool = False
     tal_normalize: bool = False
@@ -58,24 +53,11 @@ class RunConfig:
     def tal_config(self) -> TalConfig:
         return TalConfig(sigma=self.sigma)
 
-    def grpo_config(self) -> GrpoConfig:
-        return GrpoConfig(
-            group_size=self.group_size,
-            clip_eps=self.clip_eps,
-            kl_beta=self.kl_beta,
-            learning_rate=self.learning_rate,
-        )
-
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     defaults = RunConfig()
     return RunConfig(
         sigma=getattr(args, "sigma", defaults.sigma),
-        clip_eps=getattr(args, "clip_eps", defaults.clip_eps),
-        kl_beta=getattr(args, "kl_beta", defaults.kl_beta),
-        group_size=getattr(args, "group_size", defaults.group_size),
-        learning_rate=getattr(args, "learning_rate", defaults.learning_rate),
-        seed=getattr(args, "seed", defaults.seed),
         clamp_to_duration=getattr(args, "clamp", defaults.clamp_to_duration),
         strict_parse=getattr(args, "strict_parse", defaults.strict_parse),
         tal_normalize=getattr(args, "tal_normalize", defaults.tal_normalize),

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .intervals import Interval
+from .intervals import Interval, _finite_float
 from .parsing import ParsedOutput, TaskKind, serialize
 from .rewards import TalConfig, total_reward
 
@@ -124,6 +125,13 @@ class ScenarioError(ValueError):
     """Raised for malformed scenario files."""
 
 
+# Size limits checked before anything is allocated: a grid_step builds
+# n(n+1)/2 candidates from two numbers, and the policy holds one slot-logit
+# row of len(grid) per instance.
+MAX_GRID_CANDIDATES = 50_000
+MAX_SLOT_LOGITS = 500_000
+
+
 @dataclass(frozen=True)
 class PromptSpec:
     """One synthetic training prompt: ground truth plus a candidate grid."""
@@ -143,6 +151,12 @@ class PromptSpec:
             raise ScenarioError("a prompt needs a non-empty candidate grid")
         if self.max_instances < 1:
             raise ScenarioError("max_instances must be >= 1")
+        slot_logits = self.max_instances * len(self.grid)
+        if slot_logits > MAX_SLOT_LOGITS:
+            raise ScenarioError(
+                f"{slot_logits} slot logits (max_instances x candidates) exceed "
+                f"the limit of {MAX_SLOT_LOGITS}"
+            )
         if self.task is TaskKind.TG and self.max_instances != 1:
             raise ScenarioError("TG prompts emit exactly one interval")
         if self.task is TaskKind.GVQA:
@@ -203,22 +217,53 @@ class ToyPolicy:
         return {name: _log_softmax(z) for name, z in self.params[idx].items()}
 
     def sample(self, idx: int, rng: np.random.Generator) -> SampledResponse:
-        logps = self.head_log_probs(idx)
-        count = 1 + int(rng.choice(len(logps["count"]), p=np.exp(logps["count"])))
-        slots = tuple(
-            int(rng.choice(logps["slots"].shape[1], p=np.exp(logps["slots"][s])))
-            for s in range(count)
-        )
-        answer = None
-        if "answer" in logps:
-            answer = int(rng.choice(len(logps["answer"]), p=np.exp(logps["answer"])))
-        return SampledResponse(slots=slots, answer=answer)
+        return sample_group(self.head_log_probs(idx), rng, 1)[0]
 
     def decode(self, idx: int, resp: SampledResponse) -> str:
         prompt = self.prompts[idx]
         intervals = tuple(prompt.grid[c] for c in resp.slots)
         answer_text = prompt.options[resp.answer] if resp.answer is not None else None
         return serialize(ParsedOutput(intervals=intervals, answer_text=answer_text), prompt.task)
+
+
+# Generator.choice's tolerance on sum(p) - 1
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _choice_cdf(logp: np.ndarray) -> list[float]:
+    """The CDF that ``rng.choice(len(logp), p=np.exp(logp))`` draws from.
+
+    Built with choice's own steps (cumsum, then divide by the last entry) and
+    checked with choice's own test on ``p``, but once per head, not per draw.
+    """
+    p = np.exp(logp)
+    if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= _CHOICE_ATOL):
+        raise ValueError("probabilities are negative or do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def sample_group(logps: Params, rng: np.random.Generator, n: int) -> list[SampledResponse]:
+    """Draw ``n`` responses from one prompt's head log-probabilities.
+
+    Each head's CDF is built once. A draw takes one ``rng.random()`` and
+    returns the index ``rng.choice`` would (``bisect_right`` is its
+    ``searchsorted(side="right")``), in choice's order per response: count,
+    slots 0..count-1, answer. A seeded stream therefore yields the same
+    responses and leaves the generator in the same state as per-draw choice.
+    """
+    count_cdf = _choice_cdf(logps["count"])
+    slot_cdfs = [_choice_cdf(row) for row in logps["slots"]]
+    answer_cdf = _choice_cdf(logps["answer"]) if "answer" in logps else None
+    uniform = rng.random
+    out = []
+    for _ in range(n):
+        count = 1 + bisect_right(count_cdf, uniform())
+        slots = tuple(bisect_right(slot_cdfs[s], uniform()) for s in range(count))
+        answer = None if answer_cdf is None else bisect_right(answer_cdf, uniform())
+        out.append(SampledResponse(slots=slots, answer=answer))
+    return out
 
 
 def response_log_prob(logps: Params, resp: SampledResponse) -> float:
@@ -326,6 +371,12 @@ def objective_and_gradients(
 
 
 RewardFn = Callable[[str, PromptSpec], float]
+"""Scores a decoded response for its prompt.
+
+A reward must be a deterministic function of ``(text, prompt)``:
+``grpo_step`` scores each distinct response of a group once and reuses the
+value for its repeats. ``standard_reward_fn`` is.
+"""
 
 
 @dataclass(frozen=True)
@@ -335,13 +386,27 @@ class StepStats:
     clip_fraction: float
 
 
+def _score_group(
+    policy: ToyPolicy, idx: int, responses: Sequence[SampledResponse], reward_fn: RewardFn
+) -> list[float]:
+    """Rewards for one group, decoding and scoring each distinct response once."""
+    prompt = policy.prompts[idx]
+    memo: dict[SampledResponse, float] = {}
+    rewards = []
+    for resp in responses:
+        reward = memo.get(resp)
+        if reward is None:
+            reward = memo[resp] = float(reward_fn(policy.decode(idx, resp), prompt))
+        rewards.append(reward)
+    return rewards
+
+
 def grpo_step(
     policy: ToyPolicy,
     reward_fn: RewardFn,
     cfg: GrpoConfig,
     rng_seed,
     ref: ToyPolicy | None = None,
-    prompt_indices: Sequence[int] | None = None,
     inner_steps: int = 1,
 ) -> tuple[ToyPolicy, StepStats]:
     """One optimization step: sample groups, score, ascend the objective.
@@ -351,22 +416,24 @@ def grpo_step(
     policy gradient. More inner steps re-ascend the same batch, which is
     what exercises the clipping path. The input policy is not mutated.
     KL regularizes toward ``ref`` (the input policy when omitted).
+
+    Per prompt, the head log-probabilities of the policy and of ``ref`` are
+    computed once, and each distinct response of a group is scored once.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    indices = list(range(len(policy.prompts))) if prompt_indices is None else list(prompt_indices)
-    ref_policy = ref if ref is not None else policy
 
     batches = []
     all_rewards: list[float] = []
-    for i in indices:
+    for i in range(len(policy.prompts)):
         logps = policy.head_log_probs(i)
-        responses = [policy.sample(i, rng) for _ in range(cfg.group_size)]
-        rewards = [float(reward_fn(policy.decode(i, r), policy.prompts[i])) for r in responses]
+        ref_logps = logps if ref is None else ref.head_log_probs(i)
+        responses = sample_group(logps, rng, cfg.group_size)
+        rewards = _score_group(policy, i, responses, reward_fn)
         advantages = group_advantages(rewards, cfg.std_floor)
         old_vals = [response_log_prob(logps, r) for r in responses]
-        batches.append((i, responses, advantages, old_vals))
+        batches.append((i, responses, advantages, old_vals, ref_logps))
         all_rewards.extend(rewards)
 
     new = policy.copy()
@@ -374,10 +441,9 @@ def grpo_step(
     for _ in range(inner_steps):
         clipped = 0
         total = 0
-        for i, responses, advantages, old_vals in batches:
+        for i, responses, advantages, old_vals, ref_logps in batches:
             _, grads, _, n_clipped = objective_and_gradients(
-                new.params[i], responses, advantages, old_vals,
-                ref_policy.head_log_probs(i), cfg,
+                new.params[i], responses, advantages, old_vals, ref_logps, cfg,
             )
             for name, g in grads.items():
                 new.params[i][name] += cfg.learning_rate * g
@@ -385,7 +451,9 @@ def grpo_step(
             total += len(responses)
         clip_fraction = clipped / total if total else 0.0
 
-    kl_after = sum(prompt_kl(new.head_log_probs(i), ref_policy.head_log_probs(i)) for i in indices)
+    kl_after = sum(
+        prompt_kl(new.head_log_probs(i), ref_logps) for i, _, _, _, ref_logps in batches
+    )
     mean_reward = sum(all_rewards) / len(all_rewards) if all_rewards else 0.0
     return new, StepStats(mean_reward=mean_reward, kl=kl_after, clip_fraction=clip_fraction)
 
@@ -509,9 +577,17 @@ def uniform_grid(duration: float, step: float) -> tuple[Interval, ...]:
     """All candidate intervals with endpoints on a regular grid over [0, duration]."""
     if not (duration > 0 and step > 0):
         raise ScenarioError("duration and grid_step must be positive")
-    n = int(round(duration / step))
+    ratio = duration / step
+    if not math.isfinite(ratio):
+        raise ScenarioError("grid_step is too small for the duration")
+    n = int(round(ratio))
     if n < 1:
         raise ScenarioError("grid_step is larger than the duration")
+    candidates = n * (n + 1) // 2
+    if candidates > MAX_GRID_CANDIDATES:
+        raise ScenarioError(
+            f"a grid of {candidates} candidates exceeds the limit of {MAX_GRID_CANDIDATES}"
+        )
     points = [round(i * step, 9) for i in range(n + 1)]
     return tuple(
         Interval(points[i], points[j])
@@ -529,6 +605,13 @@ _GRPO_KEYS = {"group_size", "clip_eps", "kl_beta", "learning_rate", "std_floor"}
 _DEFAULT_MAX_INSTANCES = 6
 
 
+def _scenario_number(d: dict, key: str, position: int) -> float:
+    value = _finite_float(d[key])
+    if value is None:
+        raise ScenarioError(f"prompt {position}: {key} must be a finite number")
+    return value
+
+
 def _prompt_from_dict(d: dict, position: int) -> PromptSpec:
     if not isinstance(d, dict):
         raise ScenarioError(f"prompt {position}: must be an object")
@@ -543,27 +626,31 @@ def _prompt_from_dict(d: dict, position: int) -> PromptSpec:
         raise ScenarioError(f"prompt {position}: missing gt_intervals")
     try:
         gts = tuple(Interval(float(s), float(e)) for s, e in d["gt_intervals"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"prompt {position}: bad gt_intervals: {exc}") from exc
 
-    duration = float(d["duration"]) if "duration" in d else None
+    duration = _scenario_number(d, "duration", position) if "duration" in d else None
     if "grid" in d and "grid_step" in d:
         raise ScenarioError(f"prompt {position}: give either grid or grid_step, not both")
     if "grid" in d:
         try:
             grid = tuple(Interval(float(s), float(e)) for s, e in d["grid"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"prompt {position}: bad grid: {exc}") from exc
     elif "grid_step" in d:
         if duration is None:
             raise ScenarioError(f"prompt {position}: grid_step needs a duration")
-        grid = uniform_grid(duration, float(d["grid_step"]))
+        step = _scenario_number(d, "grid_step", position)
+        try:
+            grid = uniform_grid(duration, step)
+        except ScenarioError as exc:
+            raise ScenarioError(f"prompt {position}: {exc}") from None
     else:
         raise ScenarioError(f"prompt {position}: missing grid or grid_step")
 
-    max_instances = int(
-        d.get("max_instances", 1 if task is TaskKind.TG else _DEFAULT_MAX_INSTANCES)
-    )
+    max_instances = d.get("max_instances", 1 if task is TaskKind.TG else _DEFAULT_MAX_INSTANCES)
+    if isinstance(max_instances, bool) or not isinstance(max_instances, int):
+        raise ScenarioError(f"prompt {position}: max_instances must be an integer")
     options = tuple(d.get("options", ()))
     try:
         return PromptSpec(

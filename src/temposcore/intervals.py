@@ -18,6 +18,21 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
+def _finite_float(value: object) -> float | None:
+    """``value`` as a float if it is a finite int or float (not a bool), else None.
+
+    JSON input is checked with this: Python's ``json`` reads ``true`` as a
+    bool (an int subclass) and accepts ``Infinity`` and ``NaN``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True, order=True)
 class Interval:
     """A closed segment [start, end] in seconds; zero length is allowed."""

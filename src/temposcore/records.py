@@ -24,7 +24,7 @@ from .evaluation import (
     TAL_THRESHOLDS,
     TaskBlock,
 )
-from .intervals import Interval
+from .intervals import Interval, _finite_float
 from .parsing import TaskKind
 from .rewards import RewardBreakdown
 
@@ -69,11 +69,13 @@ def sample_from_record(record: dict, line_no: int) -> Sample:
             raise DatasetError(line_no, f"gt interval must be a [start, end] pair, got {pair!r}")
         try:
             intervals.append(Interval(float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DatasetError(line_no, f"bad gt interval {pair!r}: {exc}") from exc
     duration = record.get("duration")
-    if duration is not None and not isinstance(duration, (int, float)):
-        raise DatasetError(line_no, "duration must be a number")
+    if duration is not None:
+        duration = _finite_float(duration)
+        if duration is None:
+            raise DatasetError(line_no, "duration must be a finite number")
     gt_answer = record.get("gt_answer")
     if gt_answer is not None and not isinstance(gt_answer, str):
         raise DatasetError(line_no, "gt_answer must be a string")
@@ -83,7 +85,7 @@ def sample_from_record(record: dict, line_no: int) -> Sample:
             task=task,
             gt_intervals=tuple(intervals),
             prediction_raw=record["prediction"],
-            duration=float(duration) if duration is not None else None,
+            duration=duration,
             gt_answer=gt_answer,
         )
     except ValueError as exc:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from temposcore import EvalReport, Interval, MatchResult, iou
+from temposcore.grpo import Params, SampledResponse
 
 GARBAGE_PREDICTION = "uh, somewhere near the start probably??"
 
@@ -83,3 +86,20 @@ def dense_dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchR
     recall = siou / n
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return MatchResult(tuple(pairs), tuple(pair_ious), siou, precision, recall, f1)
+
+
+def choice_sample(logps: Params, rng: np.random.Generator) -> SampledResponse:
+    """Reference sampler: one ``rng.choice`` per head draw.
+
+    This is the original form of :meth:`temposcore.ToyPolicy.sample`, kept
+    as an oracle for the group sampler, which builds each head's CDF once.
+    """
+    count = 1 + int(rng.choice(len(logps["count"]), p=np.exp(logps["count"])))
+    slots = tuple(
+        int(rng.choice(logps["slots"].shape[1], p=np.exp(logps["slots"][s])))
+        for s in range(count)
+    )
+    answer = None
+    if "answer" in logps:
+        answer = int(rng.choice(len(logps["answer"]), p=np.exp(logps["answer"])))
+    return SampledResponse(slots=slots, answer=answer)

@@ -47,6 +47,21 @@ class TestDatasetIO:
         assert "line 7" in str(exc.value)
         assert fragment in str(exc.value)
 
+    @pytest.mark.parametrize("duration", ["true", "Infinity", "-Infinity", "NaN", "1e400"])
+    def test_duration_must_be_finite_number(self, tmp_path, capsys, duration):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "task": "TG", "gt_intervals": [[0, 1]], '
+                        f'"prediction": "x", "duration": {duration}}}\n')
+        assert main(["eval", "--dataset", str(path), "--clamp"]) == 2
+        assert "line 1: duration must be a finite number" in capsys.readouterr().err
+
+    def test_huge_integer_gt_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "task": "TG", "gt_intervals": [[0, 1' + "0" * 400 +
+                        ']], "prediction": "x"}\n')
+        assert main(["eval", "--dataset", str(path)]) == 2
+        assert "line 1: bad gt interval" in capsys.readouterr().err
+
     def test_bad_line_number_reported(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         good = {"id": "a", "task": "TG", "gt_intervals": [[0, 1]], "prediction": "x"}
@@ -226,6 +241,23 @@ class TestSimulateCommand:
         path.write_text(json.dumps({"prompts": [1]}))
         assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
         assert "prompt 0: must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "prompt, fragment",
+        [
+            ({"duration": 600, "grid_step": 0.1}, "a grid of 18003000 candidates exceeds"),
+            ({"task": "TAL", "max_instances": 10**12},
+             "55000000000000 slot logits (max_instances x candidates) exceed"),
+            ({"duration": True}, "duration must be a finite number"),
+            ({"grid_step": float("nan")}, "grid_step must be a finite number"),
+        ],
+    )
+    def test_oversized_or_mistyped_scenario_exits_2(self, tmp_path, capsys, prompt, fragment):
+        path = tmp_path / "bad.json"
+        base = {"task": "TG", "duration": 100, "grid_step": 10, "gt_intervals": [[0, 10]]}
+        path.write_text(json.dumps({"prompts": [{**base, **prompt}]}))
+        assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
+        assert f"error: prompt 0: {fragment}" in capsys.readouterr().err
 
     def test_scenario_grpo_config_with_flag_override(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

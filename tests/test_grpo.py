@@ -3,7 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+from helpers import choice_sample
 
 from temposcore import (
     GrpoConfig,
@@ -20,12 +22,16 @@ from temposcore import (
     run_simulation,
     uniform_grid,
 )
+import temposcore.grpo as grpo
 from temposcore.grpo import (
+    MAX_GRID_CANDIDATES,
+    MAX_SLOT_LOGITS,
     PromptSpec,
     SampledResponse,
     objective_and_gradients,
     prompt_kl,
     response_log_prob,
+    sample_group,
     scenario_from_dict,
     standard_reward_fn,
 )
@@ -420,6 +426,115 @@ def test_response_log_prob_matches_manual():
 
 
 # ---------------------------------------------------------------------------
+# Group sampling and scoring
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_instances=st.integers(1, 6),
+    n_grid=st.integers(1, 40),
+    with_answer=st.booleans(),
+    scale=st.sampled_from([0.0, 1.0, 5.0, 30.0]),
+    spike=st.sampled_from([None, "count", "slots", "answer"]),
+    group_size=st.integers(1, 12),
+)
+def test_group_sampler_matches_per_draw_choice(
+    seed, max_instances, n_grid, with_answer, scale, spike, group_size
+):
+    """Same responses and same generator state as one ``rng.choice`` per draw."""
+    grid = tuple(Interval(float(i), float(i + 1)) for i in range(n_grid))
+    prompt = PromptSpec(
+        task=TaskKind.GVQA if with_answer else TaskKind.TAL,
+        gt_intervals=(grid[0],),
+        grid=grid,
+        max_instances=max_instances,
+        gt_answer="A" if with_answer else None,
+        options=("A", "B", "C", "D") if with_answer else (),
+    )
+    policy = ToyPolicy([prompt])
+    logit_rng = np.random.default_rng(seed)
+    for head in policy.params[0].values():
+        head += logit_rng.normal(0.0, scale, size=head.shape)
+    if spike is not None and spike in policy.params[0]:
+        # one head puts all but ~1e-17 of its mass on a single choice
+        head = policy.params[0][spike].reshape(-1)
+        head[int(logit_rng.integers(head.size))] += 40.0
+    logps = policy.head_log_probs(0)
+
+    fast_rng = np.random.default_rng((seed, 1))
+    ref_rng = np.random.default_rng((seed, 1))
+    got = sample_group(logps, fast_rng, group_size)
+    expected = [choice_sample(logps, ref_rng) for _ in range(group_size)]
+    assert got == expected
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    # ToyPolicy.sample is the group sampler with n = 1
+    assert policy.sample(0, fast_rng) == choice_sample(logps, ref_rng)
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_group_sampler_rejects_nan_logits():
+    prompt = PromptSpec(task=TaskKind.TG, gt_intervals=(Interval(0, 1),),
+                        grid=(Interval(0, 1), Interval(1, 2)))
+    policy = ToyPolicy([prompt])
+    policy.params[0]["slots"][0, 0] = np.nan
+    with pytest.raises(ValueError, match="probabilities"):
+        sample_group(policy.head_log_probs(0), np.random.default_rng(0), 4)
+
+
+def test_each_distinct_response_scored_once(monkeypatch):
+    """Repeats reuse their reward; rewards and advantages equal per-response scoring."""
+    base = {"duration": 60, "grid_step": 10}
+    scenario = scenario_from_dict({"prompts": [
+        {**base, "task": "TAL", "max_instances": 3, "gt_intervals": [[0, 10], [30, 40]]},
+        {**base, "task": "GVQA", "max_instances": 2, "gt_intervals": [[10, 20]],
+         "options": ["A", "B"], "gt_answer": "B"},
+        {**base, "task": "TG", "gt_intervals": [[20, 40]]},
+        {**base, "task": "DTG", "max_instances": 2, "gt_intervals": [[0, 10], [40, 60]]},
+    ]})
+    policy = ToyPolicy(scenario.prompts)
+    rng = np.random.default_rng(4)
+    for head in policy.params:
+        # peaked heads so a group of 8 repeats responses
+        head["count"][-1] += 3.0
+        head["slots"][:, rng.integers(head["slots"].shape[1], size=2)] += 4.0
+    cfg = GrpoConfig()
+    scorer = standard_reward_fn()
+    calls = []
+
+    def counting(text, prompt):
+        calls.append(text)
+        return scorer(text, prompt)
+
+    seen = []
+
+    def spy(rewards, std_floor=1e-6):
+        advantages = group_advantages(rewards, std_floor)
+        seen.append((list(rewards), advantages))
+        return advantages
+
+    monkeypatch.setattr(grpo, "group_advantages", spy)
+    _, stats = grpo_step(policy, counting, cfg, rng_seed=(9, 0))
+
+    draw_rng = np.random.default_rng((9, 0))
+    distinct = 0
+    expected_rewards = []
+    for i in range(len(policy.prompts)):
+        logps = policy.head_log_probs(i)
+        group = [choice_sample(logps, draw_rng) for _ in range(cfg.group_size)]
+        distinct += len(set(group))
+        expected_rewards.append(
+            [scorer(policy.decode(i, r), policy.prompts[i]) for r in group]
+        )
+    assert distinct < len(policy.prompts) * cfg.group_size  # the memo was exercised
+    assert len(calls) == distinct
+    assert [r for r, _ in seen] == expected_rewards
+    assert [a for _, a in seen] == [group_advantages(r) for r in expected_rewards]
+    flat = [v for group in expected_rewards for v in group]
+    assert stats.mean_reward == sum(flat) / len(flat)
+
+
+# ---------------------------------------------------------------------------
 # Scenario files
 
 
@@ -512,3 +627,59 @@ class TestScenarios:
                                  "gt_intervals": [[0, 5]]}],
                 }
             )
+
+    def test_grid_size_checked_before_building(self, monkeypatch):
+        def no_intervals(*args):
+            raise AssertionError("grid built before its size was checked")
+
+        monkeypatch.setattr(grpo, "Interval", no_intervals)
+        # 6,000 steps: 6000 * 6001 / 2 candidates, about 18M intervals
+        with pytest.raises(ScenarioError, match="18003000 candidates exceeds the limit"):
+            uniform_grid(600.0, 0.1)
+        with pytest.raises(ScenarioError, match="too small"):
+            uniform_grid(1e300, 1e-300)
+
+    def test_grid_at_limit_accepted(self):
+        # n = 315 steps: 315 * 316 / 2 = 49,770 candidates
+        assert len(uniform_grid(315.0, 1.0)) == 49_770 <= MAX_GRID_CANDIDATES
+
+    def test_slot_logits_checked_before_policy(self):
+        with pytest.raises(ScenarioError, match="prompt 0: .*55000000000000 slot logits"):
+            scenario_from_dict(
+                {
+                    "prompts": [{"task": "TAL", "duration": 100, "grid_step": 10,
+                                 "max_instances": 10**12, "gt_intervals": [[0, 10]]}],
+                }
+            )
+        grid = uniform_grid(100.0, 10.0)
+        limit = MAX_SLOT_LOGITS // len(grid)
+        PromptSpec(task=TaskKind.TAL, gt_intervals=grid[:1], grid=grid, max_instances=limit)
+        with pytest.raises(ScenarioError, match="exceed the limit"):
+            PromptSpec(task=TaskKind.TAL, gt_intervals=grid[:1], grid=grid,
+                       max_instances=limit + 1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("duration", True),
+            ("duration", float("inf")),
+            ("duration", float("nan")),
+            ("duration", "100"),
+            ("duration", 10**400),
+            ("grid_step", False),
+            ("grid_step", float("-inf")),
+            ("grid_step", None),
+        ],
+    )
+    def test_scenario_numbers_strict(self, key, value):
+        prompt = {"task": "TG", "duration": 100, "grid_step": 10, "gt_intervals": [[0, 10]]}
+        prompt[key] = value
+        with pytest.raises(ScenarioError, match=f"prompt 0: {key} must be a finite number"):
+            scenario_from_dict({"prompts": [prompt]})
+
+    @pytest.mark.parametrize("value", [True, 2.0, float("inf"), float("nan"), "3"])
+    def test_max_instances_must_be_integer(self, value):
+        prompt = {"task": "TAL", "duration": 100, "grid_step": 10, "gt_intervals": [[0, 10]],
+                  "max_instances": value}
+        with pytest.raises(ScenarioError, match="prompt 0: max_instances must be an integer"):
+            scenario_from_dict({"prompts": [prompt]})
