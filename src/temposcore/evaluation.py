@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .intervals import Interval, iou, merge, set_iou
-from .parsing import TaskKind, extract_answer_text, extract_intervals, parse, ParseError
+from .parsing import ParseError, TaskKind, read
 from .rewards import _prf, classification_reward, dp_match, reward_type1
 
 RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
@@ -85,17 +85,16 @@ def _clamp_interval(iv: Interval, duration: float) -> Interval:
     return Interval(min(iv.start, duration), min(iv.end, duration))
 
 
-def _predicted(sample: Sample, strict: bool, clamp: bool) -> tuple[tuple[Interval, ...], bool]:
-    """Extract scoreable intervals; the flag reports a strict-parse failure."""
-    failed = False
-    try:
-        intervals = parse(sample.prediction_raw, sample.task, strict=strict).intervals
-    except ParseError:
-        failed = True
-        intervals = extract_intervals(sample.prediction_raw, sample.task) or ()
+def _predicted(
+    sample: Sample, strict: bool, clamp: bool
+) -> tuple[tuple[Interval, ...], bool, str | None]:
+    """Scoreable intervals, whether the template parse failed, and the answer text."""
+    reading = read(sample.prediction_raw, sample.task, strict)
+    failed = isinstance(reading.parsed, ParseError)
+    intervals = (reading.intervals or ()) if failed else reading.parsed.intervals
     if clamp and sample.duration is not None:
         intervals = tuple(_clamp_interval(iv, sample.duration) for iv in intervals)
-    return intervals, failed
+    return intervals, failed, reading.answer_text
 
 
 def _mean(xs: Sequence[float]) -> float:
@@ -113,7 +112,7 @@ def eval_tg(samples: Sequence[Sample], strict: bool = False, clamp: bool = False
         return block
     scores: list[float] = []
     for s in samples:
-        preds, failed = _predicted(s, strict, clamp)
+        preds, failed, _ = _predicted(s, strict, clamp)
         block.n_parse_failures += failed
         scores.append(iou(preds[0], s.gt_intervals[0]) if preds else 0.0)
     block.miou = _mean(scores)
@@ -129,7 +128,7 @@ def eval_dtg(samples: Sequence[Sample], strict: bool = False, clamp: bool = Fals
     sample_scores: list[float] = []
     pair_ious: list[float] = []
     for s in samples:
-        preds, failed = _predicted(s, strict, clamp)
+        preds, failed, _ = _predicted(s, strict, clamp)
         block.n_parse_failures += failed
         sample_scores.append(reward_type1(preds, s.gt_intervals))
         # every gt event is a recall unit; events beyond the prediction count miss
@@ -148,7 +147,7 @@ def eval_vhd(samples: Sequence[Sample], strict: bool = False, clamp: bool = Fals
         return block
     scores: list[float] = []
     for s in samples:
-        preds, failed = _predicted(s, strict, clamp)
+        preds, failed, _ = _predicted(s, strict, clamp)
         block.n_parse_failures += failed
         scores.append(set_iou(merge(preds), merge(s.gt_intervals)) if preds else 0.0)
     block.miou = _mean(scores)
@@ -166,10 +165,9 @@ def eval_gvqa(samples: Sequence[Sample], strict: bool = False, clamp: bool = Fal
     for s in samples:
         if s.gt_answer is None:
             raise ValueError(f"sample {s.id}: GVQA evaluation requires gt_answer")
-        preds, failed = _predicted(s, strict, clamp)
+        preds, failed, answer = _predicted(s, strict, clamp)
         block.n_parse_failures += failed
         scores.append(set_iou(merge(preds), merge(s.gt_intervals)) if preds else 0.0)
-        answer = extract_answer_text(s.prediction_raw)
         correct.append(classification_reward(answer, s.gt_answer) if answer is not None else 0)
     block.accuracy = _mean(correct)
     block.miou = _mean(scores)
@@ -184,7 +182,7 @@ def eval_tal(samples: Sequence[Sample], strict: bool = False, clamp: bool = Fals
         return block
     per_threshold: dict[float, list[float]] = {t: [] for t in TAL_THRESHOLDS}
     for s in samples:
-        preds, failed = _predicted(s, strict, clamp)
+        preds, failed, _ = _predicted(s, strict, clamp)
         block.n_parse_failures += failed
         match = dp_match(preds, s.gt_intervals)
         for t in TAL_THRESHOLDS:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .intervals import Interval, _finite_float
+from .intervals import Interval, _finite_float, _interval_from_pair
 from .parsing import ParsedOutput, TaskKind, serialize
 from .rewards import TalConfig, total_reward
 
@@ -612,6 +612,19 @@ def _scenario_number(d: dict, key: str, position: int) -> float:
     return value
 
 
+def _scenario_intervals(d: dict, key: str, position: int) -> tuple[Interval, ...]:
+    pairs = d[key]
+    if not isinstance(pairs, list):
+        raise ScenarioError(f"prompt {position}: {key} must be a list of [start, end] pairs")
+    out = []
+    for pair in pairs:
+        try:
+            out.append(_interval_from_pair(pair))
+        except ValueError as exc:
+            raise ScenarioError(f"prompt {position}: bad {key} {pair!r}: {exc}") from None
+    return tuple(out)
+
+
 def _prompt_from_dict(d: dict, position: int) -> PromptSpec:
     if not isinstance(d, dict):
         raise ScenarioError(f"prompt {position}: must be an object")
@@ -624,19 +637,13 @@ def _prompt_from_dict(d: dict, position: int) -> PromptSpec:
         raise ScenarioError(f"prompt {position}: unknown task {d.get('task')!r}") from None
     if "gt_intervals" not in d:
         raise ScenarioError(f"prompt {position}: missing gt_intervals")
-    try:
-        gts = tuple(Interval(float(s), float(e)) for s, e in d["gt_intervals"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"prompt {position}: bad gt_intervals: {exc}") from exc
+    gts = _scenario_intervals(d, "gt_intervals", position)
 
     duration = _scenario_number(d, "duration", position) if "duration" in d else None
     if "grid" in d and "grid_step" in d:
         raise ScenarioError(f"prompt {position}: give either grid or grid_step, not both")
     if "grid" in d:
-        try:
-            grid = tuple(Interval(float(s), float(e)) for s, e in d["grid"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"prompt {position}: bad grid: {exc}") from exc
+        grid = _scenario_intervals(d, "grid", position)
     elif "grid_step" in d:
         if duration is None:
             raise ScenarioError(f"prompt {position}: grid_step needs a duration")

@@ -57,6 +57,21 @@ class Interval:
         return self.end - self.start
 
 
+def _interval_from_pair(pair: object) -> Interval:
+    """A JSON ``[start, end]`` pair as an Interval, checked as :func:`_finite_float` does.
+
+    Raises ValueError for anything but a two-element list of finite numbers
+    that forms a valid interval: a bool or a numeric string is not an
+    endpoint, and a two-character string is not a pair.
+    """
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError("not a [start, end] pair")
+    start, end = _finite_float(pair[0]), _finite_float(pair[1])
+    if start is None or end is None:
+        raise ValueError("endpoints must be finite numbers")
+    return Interval(start, end)
+
+
 @dataclass(frozen=True)
 class IntervalSet:
     """Canonical form of a union of intervals: sorted, pairwise non-touching.

@@ -13,7 +13,8 @@ scientific notation). Whitespace around tags, commas, and the "to" keyword
 is ignored, and "to" is case-insensitive.
 
 By default parsing is tolerant: text outside the tagged blocks (e.g.
-chain-of-thought prose) is ignored, and the last occurrence of each block
+chain-of-thought prose) is ignored. Blocks are taken left to right, each
+closed by the first closing tag after it, and the last complete block
 wins. With ``strict=True`` the whole string must match the bare template.
 
 Inverted pairs (end < start) are never repaired; they fail parsing so the
@@ -22,9 +23,11 @@ binary format reward can teach well-formedness.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .intervals import Interval
 
@@ -72,21 +75,10 @@ _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _PAIR_RE = re.compile(rf"(?:(?<!\d)|(?=\.))({_NUMBER})\s*to\s*({_NUMBER})", re.IGNORECASE)
 _ENTRY_RE = re.compile(rf"\s*({_NUMBER})\s*to\s*({_NUMBER})\s*\Z", re.IGNORECASE)
 
-_ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL)
-_GLUE_RE = re.compile(r"<glue>(.*?)</glue>", re.DOTALL)
-
 _STRICT_SINGLE_RE = re.compile(r"\A\s*<answer>(.*?)</answer>\s*\Z", re.DOTALL)
 _STRICT_GVQA_RE = re.compile(
     r"\A\s*<answer>(.*?)</answer>\s*<glue>(.*?)</glue>\s*\Z", re.DOTALL
 )
-
-_MIN_INTERVALS = {
-    TaskKind.TG: 1,
-    TaskKind.DTG: 1,
-    TaskKind.VHD: 1,
-    TaskKind.TAL: 1,
-    TaskKind.GVQA: 0,
-}
 
 
 def _parse_interval_list(content: str) -> tuple[Interval, ...]:
@@ -112,26 +104,84 @@ def _parse_interval_list(content: str) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-def _blocks(raw: str, task: TaskKind, strict: bool) -> tuple[str, str | None]:
-    """Locate the answer block content and, for GVQA, the glue block content."""
-    if strict:
-        pattern = _STRICT_GVQA_RE if task is TaskKind.GVQA else _STRICT_SINGLE_RE
-        m = pattern.match(raw)
-        if m is None:
-            raise ParseError(
-                ParseFailure.MISSING_TAGS, "output does not match the exact task template"
-            )
-        return (m.group(1), m.group(2)) if task is TaskKind.GVQA else (m.group(1), None)
+def _last_block(raw: str, open_tag: str, close_tag: str) -> str | None:
+    """Content of the last complete block, or None; a single left-to-right scan."""
+    block = None
+    start = raw.find(open_tag)
+    while start != -1:
+        end = raw.find(close_tag, start + len(open_tag))
+        if end == -1:
+            break
+        block = raw[start + len(open_tag) : end]
+        start = raw.find(open_tag, end + len(close_tag))
+    return block
 
-    answers = _ANSWER_RE.findall(raw)
-    if not answers:
+
+def _strict_blocks(raw: str, task: TaskKind) -> tuple[str, str | None]:
+    """The block contents of a response that is the bare template."""
+    gvqa = task is TaskKind.GVQA
+    # a lazy GVQA match with no final "</glue>" fails only after trying every split
+    if raw.rstrip().endswith("</glue>" if gvqa else "</answer>"):
+        m = (_STRICT_GVQA_RE if gvqa else _STRICT_SINGLE_RE).match(raw)
+        if m is not None:
+            return m.group(1), (m.group(2) if gvqa else None)
+    raise ParseError(ParseFailure.MISSING_TAGS, "output does not match the exact task template")
+
+
+def _parse_blocks(answer: str | None, glue: str | None, task: TaskKind) -> ParsedOutput:
+    """Check located block contents against the task template."""
+    if answer is None:
         raise ParseError(ParseFailure.MISSING_TAGS, "no <answer> block found")
-    if task is not TaskKind.GVQA:
-        return answers[-1], None
-    glues = _GLUE_RE.findall(raw)
-    if not glues:
-        raise ParseError(ParseFailure.MISSING_TAGS, "no <glue> block found")
-    return answers[-1], glues[-1]
+    if task is TaskKind.GVQA:
+        if glue is None:
+            raise ParseError(ParseFailure.MISSING_TAGS, "no <glue> block found")
+        text = answer.strip()
+        if not text:
+            raise ParseError(ParseFailure.WRONG_ARITY, "GVQA answer text is empty")
+        return ParsedOutput(intervals=_parse_interval_list(glue), answer_text=text)
+
+    intervals = _parse_interval_list(answer)
+    if task is TaskKind.TG and len(intervals) != 1:
+        raise ParseError(
+            ParseFailure.WRONG_ARITY, f"TG requires exactly one interval, got {len(intervals)}"
+        )
+    if not intervals:
+        raise ParseError(ParseFailure.WRONG_ARITY, f"{task.value} requires at least one interval")
+    return ParsedOutput(intervals=intervals)
+
+
+class Reading(NamedTuple):
+    """What :func:`read` finds in one response."""
+
+    parsed: ParsedOutput | ParseError
+    intervals: tuple[Interval, ...] | None
+    answer_text: str | None
+
+
+def read(raw: str, task: TaskKind, strict: bool = False) -> Reading:
+    """Read a raw model response once; never raises, and is linear in its length.
+
+    Returns the template parse (or the :class:`ParseError` it raised), the
+    lenient intervals of the scored block (None when it is absent; in strict
+    mode they can differ from the parse's) and, for GVQA, the answer text.
+    """
+    gvqa = task is TaskKind.GVQA
+    answer = _last_block(raw, "<answer>", "</answer>")
+    glue = _last_block(raw, "<glue>", "</glue>") if gvqa else None
+    try:
+        parsed = _parse_blocks(*(_strict_blocks(raw, task) if strict else (answer, glue)), task)
+    except ParseError as exc:
+        # a stored traceback would keep this frame alive in a reference cycle
+        parsed = exc.with_traceback(None)
+    scored = glue if gvqa else answer
+    intervals = None
+    if not strict and isinstance(parsed, ParsedOutput):
+        intervals = parsed.intervals  # a clean lenient parse reads the same pairs
+    elif scored is not None:
+        pairs = [(float(s), float(e)) for s, e in _PAIR_RE.findall(scored)]
+        intervals = tuple(Interval(s, e) for s, e in pairs if s <= e < math.inf)
+    text = answer.strip() if gvqa and answer is not None else None
+    return Reading(parsed, intervals, text or None)
 
 
 def parse(raw: str, task: TaskKind, strict: bool = False) -> ParsedOutput:
@@ -141,32 +191,15 @@ def parse(raw: str, task: TaskKind, strict: bool = False) -> ParsedOutput:
     arity; raises :class:`ParseError` with a reason otherwise. Never raises
     anything else, regardless of input.
     """
-    answer, glue = _blocks(raw, task, strict)
-
-    if task is TaskKind.GVQA:
-        text = answer.strip()
-        if not text:
-            raise ParseError(ParseFailure.WRONG_ARITY, "GVQA answer text is empty")
-        assert glue is not None
-        return ParsedOutput(intervals=_parse_interval_list(glue), answer_text=text)
-
-    intervals = _parse_interval_list(answer)
-    if task is TaskKind.TG and len(intervals) != 1:
-        raise ParseError(
-            ParseFailure.WRONG_ARITY, f"TG requires exactly one interval, got {len(intervals)}"
-        )
-    if len(intervals) < _MIN_INTERVALS[task]:
-        raise ParseError(ParseFailure.WRONG_ARITY, f"{task.value} requires at least one interval")
-    return ParsedOutput(intervals=intervals)
+    parsed = read(raw, task, strict).parsed
+    if isinstance(parsed, ParseError):
+        raise parsed
+    return parsed
 
 
 def format_reward(raw: str, task: TaskKind, strict: bool = False) -> int:
     """Binary template reward: 1 iff the response parses cleanly."""
-    try:
-        parse(raw, task, strict=strict)
-    except ParseError:
-        return 0
-    return 1
+    return 0 if isinstance(read(raw, task, strict).parsed, ParseError) else 1
 
 
 def _format_ts(value: float) -> str:
@@ -206,24 +239,9 @@ def extract_intervals(raw: str, task: TaskKind) -> tuple[Interval, ...] | None:
     failure); otherwise returns every well-formed pair found inside it, in
     textual order, skipping inverted or non-finite pairs. Arity is ignored.
     """
-    block_re = _GLUE_RE if task is TaskKind.GVQA else _ANSWER_RE
-    blocks = block_re.findall(raw)
-    if not blocks:
-        return None
-    out: list[Interval] = []
-    for s, e in _PAIR_RE.findall(blocks[-1]):
-        try:
-            iv = Interval(float(s), float(e))
-        except ValueError:
-            continue
-        out.append(iv)
-    return tuple(out)
+    return read(raw, task).intervals
 
 
 def extract_answer_text(raw: str) -> str | None:
     """Lenient answer-text extraction: last answer block, stripped, or None."""
-    answers = _ANSWER_RE.findall(raw)
-    if not answers:
-        return None
-    text = answers[-1].strip()
-    return text if text else None
+    return read(raw, TaskKind.GVQA).answer_text

@@ -24,7 +24,7 @@ from .evaluation import (
     TAL_THRESHOLDS,
     TaskBlock,
 )
-from .intervals import Interval, _finite_float
+from .intervals import _finite_float, _interval_from_pair
 from .parsing import TaskKind
 from .rewards import RewardBreakdown
 
@@ -65,11 +65,9 @@ def sample_from_record(record: dict, line_no: int) -> Sample:
         raise DatasetError(line_no, "gt_intervals must be a non-empty list")
     intervals = []
     for pair in raw_gts:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise DatasetError(line_no, f"gt interval must be a [start, end] pair, got {pair!r}")
         try:
-            intervals.append(Interval(float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError, OverflowError) as exc:
+            intervals.append(_interval_from_pair(pair))
+        except ValueError as exc:
             raise DatasetError(line_no, f"bad gt interval {pair!r}: {exc}") from exc
     duration = record.get("duration")
     if duration is not None:

@@ -19,14 +19,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Sequence
 
 from .intervals import Interval, iou, merge, set_iou
-from .parsing import TaskKind, extract_answer_text, extract_intervals, format_reward
-
-BRUTE_FORCE_LIMIT = 8
-
+from .parsing import ParseError, TaskKind, read
 
 @dataclass(frozen=True)
 class TalConfig:
@@ -127,10 +124,6 @@ def instance_number_reward(n_pred: int, n_gt: int, sigma: float) -> float:
     if not (sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     return math.exp(-abs(n_pred - n_gt) / (min(n_gt, 3) * sigma))
-
-
-def _iou_matrix(preds: list[Interval], gts: list[Interval]) -> list[list[float]]:
-    return [[iou(p, g) for g in gts] for p in preds]
 
 
 _Window = tuple[int, list[float]]
@@ -267,42 +260,6 @@ def sequential_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> Matc
     return MatchResult(tuple(pairs), tuple(pair_ious), siou, precision, recall, f1)
 
 
-def brute_force_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
-    """Exhaustive monotone-matching oracle for small instances.
-
-    Enumerates every monotone matching (each way of choosing k predictions
-    and k ground truths, paired in order) and returns the sIoU-maximal one.
-    Deliberately avoids the DP recurrence so it can serve as an independent
-    check of :func:`dp_match`. Refuses lists longer than 8.
-    """
-    if not gts:
-        raise ValueError("ground truth must contain at least one interval")
-    if len(preds) > BRUTE_FORCE_LIMIT or len(gts) > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force is limited to {BRUTE_FORCE_LIMIT} intervals per side")
-    if not preds:
-        return _empty_match()
-
-    sp = _sorted_chrono(preds)
-    sg = _sorted_chrono(gts)
-    m, n = len(sp), len(sg)
-    ious = _iou_matrix(sp, sg)
-
-    best_siou = 0.0
-    best: tuple[tuple[int, int], ...] = ()
-    for k in range(1, min(m, n) + 1):
-        for pk in combinations(range(m), k):
-            for gk in combinations(range(n), k):
-                s = sum(ious[i][j] for i, j in zip(pk, gk))
-                if s > best_siou:
-                    best_siou = s
-                    best = tuple(zip(pk, gk))
-
-    pairs = tuple((i, j) for i, j in best if ious[i][j] > 0.0)
-    pair_ious = tuple(ious[i][j] for i, j in pairs)
-    precision, recall, f1 = _prf(best_siou, m, n)
-    return MatchResult(pairs, pair_ious, best_siou, precision, recall, f1)
-
-
 def _tal_terms(
     preds: Sequence[Interval], gts: Sequence[Interval], cfg: TalConfig
 ) -> tuple[float, float, MatchResult]:
@@ -345,26 +302,6 @@ def classification_reward(pred: str, gt: str) -> int:
     return 0
 
 
-_LOC_TYPE1 = (TaskKind.TG, TaskKind.DTG)
-_LOC_TYPE2 = (TaskKind.VHD, TaskKind.GVQA)
-
-
-def localization_reward(
-    preds: Sequence[Interval] | None,
-    task: TaskKind,
-    gts: Sequence[Interval],
-    cfg: TalConfig,
-) -> float:
-    """Dispatch the localization reward by task; None preds = hard parse failure."""
-    if preds is None:
-        return 0.0
-    if task in _LOC_TYPE1:
-        return reward_type1(preds, gts)
-    if task in _LOC_TYPE2:
-        return reward_type2(preds, gts)
-    return reward_tal(preds, gts, cfg)
-
-
 def total_reward(
     raw: str,
     task: TaskKind,
@@ -387,14 +324,19 @@ def total_reward(
     if (gt_answer is not None) != (task is TaskKind.GVQA):
         raise ValueError("gt_answer must be given exactly for GVQA samples")
 
-    fmt = float(format_reward(raw, task, strict=strict))
-    preds = extract_intervals(raw, task)
+    reading = read(raw, task, strict)
+    fmt = 0.0 if isinstance(reading.parsed, ParseError) else 1.0
+    preds = reading.intervals
     match: MatchResult | None = None
     num: float | None = None
-    if task is TaskKind.TAL and preds is not None:
+    if preds is None:
+        loc = 0.0
+    elif task is TaskKind.TAL:
         loc, num, match = _tal_terms(preds, gts, cfg)
+    elif task is TaskKind.TG or task is TaskKind.DTG:
+        loc = reward_type1(preds, gts)
     else:
-        loc = localization_reward(preds, task, gts, cfg)
+        loc = reward_type2(preds, gts)
     if task is TaskKind.TAL and tal_normalize:
         loc *= 0.5
 
@@ -402,7 +344,7 @@ def total_reward(
     total = fmt + loc
     if task is TaskKind.GVQA:
         assert gt_answer is not None
-        answer = extract_answer_text(raw)
+        answer = reading.answer_text
         cls = float(classification_reward(answer, gt_answer)) if answer is not None else 0.0
         total += cls
     return RewardBreakdown(

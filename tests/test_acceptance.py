@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import GARBAGE_PREDICTION, collect_metrics
+from helpers import GARBAGE_PREDICTION, brute_force_match, collect_metrics
 
 from temposcore import (
     GrpoConfig,
@@ -23,7 +23,6 @@ from temposcore import (
     TalConfig,
     TaskKind,
     aggregate,
-    brute_force_match,
     dp_match,
     format_reward,
     group_advantages,

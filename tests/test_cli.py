@@ -62,6 +62,23 @@ class TestDatasetIO:
         assert main(["eval", "--dataset", str(path)]) == 2
         assert "line 1: bad gt interval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "gts, fragment",
+        [
+            ('[[true, "5"]]', "endpoints must be finite numbers"),
+            ('[[0, "5"]]', "endpoints must be finite numbers"),
+            ('["05"]', "not a [start, end] pair"),
+        ],
+    )
+    def test_gt_endpoints_must_be_number_pairs(self, tmp_path, capsys, gts, fragment):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "task": "TG", "gt_intervals": ' + gts +
+                        ', "prediction": "<answer>1 to 5</answer>"}\n')
+        assert main(["reward", "--dataset", str(path)]) == 2
+        assert f"line 1: bad gt interval {json.loads(gts)[0]!r}: {fragment}" in (
+            capsys.readouterr().err
+        )
+
     def test_bad_line_number_reported(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         good = {"id": "a", "task": "TG", "gt_intervals": [[0, 1]], "prediction": "x"}
@@ -256,6 +273,27 @@ class TestSimulateCommand:
         path = tmp_path / "bad.json"
         base = {"task": "TG", "duration": 100, "grid_step": 10, "gt_intervals": [[0, 10]]}
         path.write_text(json.dumps({"prompts": [{**base, **prompt}]}))
+        assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
+        assert f"error: prompt 0: {fragment}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pairs, fragment",
+        [
+            ({"gt_intervals": [[False, "3"]], "grid": [["0", "3"]]},
+             "bad gt_intervals [False, '3']: endpoints must be finite numbers"),
+            ({"gt_intervals": [[0, 3]], "grid": [["0", "3"]]},
+             "bad grid ['0', '3']: endpoints must be finite numbers"),
+            ({"gt_intervals": ["12"], "grid": ["03", [1, 2]]},
+             "bad gt_intervals '12': not a [start, end] pair"),
+            ({"gt_intervals": [[1, 2]], "grid": ["03", [1, 2]]},
+             "bad grid '03': not a [start, end] pair"),
+            ({"gt_intervals": "12", "grid": [[1, 2]]},
+             "gt_intervals must be a list of [start, end] pairs"),
+        ],
+    )
+    def test_scenario_endpoints_must_be_number_pairs(self, tmp_path, capsys, pairs, fragment):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"prompts": [{"task": "TG", **pairs}]}))
         assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
         assert f"error: prompt 0: {fragment}" in capsys.readouterr().err
 

@@ -16,6 +16,7 @@ from temposcore import (
     eval_tg,
     eval_vhd,
     serialize,
+    total_reward,
 )
 
 GARBAGE = "hmm, somewhere in the middle I think"
@@ -144,6 +145,16 @@ class TestEvalGvqa:
         block = eval_gvqa([right, wrong])
         assert block.accuracy == 0.5
         assert block.miou == pytest.approx(0.5, abs=1e-12)
+
+    def test_strict_scores_the_parse_and_reward_the_lenient_block(self):
+        # the strict template splits at the second "<glue>" and parses [(1, 2)];
+        # the last lenient glue block, "3 to 4</answer><glue>1 to 2", holds both
+        raw = "<answer>A<glue>3 to 4</answer><glue>1 to 2</glue>"
+        sample = make(TaskKind.GVQA, [(3, 4)], raw, answer="A")
+        block = eval_gvqa([sample], strict=True)
+        assert (block.n_parse_failures, block.miou, block.accuracy) == (0, 0.0, 0.0)
+        reward = total_reward(raw, TaskKind.GVQA, sample.gt_intervals, "A", strict=True)
+        assert (reward.format, reward.localization) == (1.0, 0.5)
 
 
 class TestEvalTal:

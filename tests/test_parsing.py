@@ -5,6 +5,8 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import regex_extract_answer_text, regex_extract_intervals, regex_parse
+
 from temposcore import (
     Interval,
     ParsedOutput,
@@ -16,8 +18,9 @@ from temposcore import (
     format_reward,
     parse,
     serialize,
+    total_reward,
 )
-from temposcore.parsing import _NUMBER, _PAIR_RE
+from temposcore.parsing import _NUMBER, _PAIR_RE, read
 
 MULTI_TASKS = [TaskKind.DTG, TaskKind.VHD, TaskKind.TAL]
 
@@ -209,6 +212,38 @@ class TestLenientExtraction:
         assert best_time(1 << 20) < 64 * best_time(1 << 16)
 
 
+def _outcome(fn, *args):
+    """The parse, or the reason and message of the ParseError raised or returned."""
+    try:
+        result = fn(*args)
+    except ParseError as exc:
+        result = exc
+    return (result.reason, str(result)) if isinstance(result, ParseError) else result
+
+
+@pytest.mark.parametrize(
+    "unit, fn",
+    [
+        ("<answer>", lambda raw: total_reward(raw, TaskKind.GVQA, [Interval(1, 2)], "A")),
+        ("<glue>", lambda raw: total_reward(raw, TaskKind.GVQA, [Interval(1, 2)], "A")),
+        ("</answer><glue>", lambda raw: _outcome(parse, "<answer>" + raw, TaskKind.GVQA, True)),
+    ],
+    ids=["unclosed-answer", "unclosed-glue", "strict-gvqa-splits"],
+)
+def test_read_linear_on_repeated_tags(unit, fn):
+    # a scan that retries every later tag would take ~256x as long on 16x the input
+    def best_time(n_bytes):
+        raw = unit * (n_bytes // len(unit))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            fn(raw)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_time(1 << 20) < 64 * best_time(1 << 16)
+
+
 # The lenient pair pattern without its scan-start guard: the guard may only
 # skip starts that cannot change the matches.
 _UNGUARDED_PAIR_RE = re.compile(rf"({_NUMBER})\s*to\s*({_NUMBER})", re.IGNORECASE)
@@ -277,3 +312,51 @@ def test_parse_never_crashes_on_random_bytes():
                 parse(raw, task)
             except ParseError:
                 pass
+
+
+# ---------------------------------------------------------------------------
+# The reader against the regex readers it replaced (tests/helpers.py)
+
+_FRAGMENTS = [
+    "<answer>", "</answer>", "<glue>", "</glue>", "<answer", "</glue", "answer>",
+    "1", "2.5", ".5", "3.", "1e1", "1e999", "7", " to ", "TO", "to", ",", "-",
+    "A", "B.", "x", " ", "\n", "\t", "\x1c", "\x85", "\xa0", "\u2003",
+]
+_responses = st.lists(
+    st.sampled_from(_FRAGMENTS) | st.text(max_size=2), max_size=24
+).map("".join)
+
+
+# strict GVQA parses [(1, 2)] while the lenient glue block holds both pairs
+_SPLIT_DISAGREEMENT = "<answer>A<glue>3 to 4</answer><glue>1 to 2</glue>"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_responses)
+@example(_SPLIT_DISAGREEMENT)
+@example(" \x85<answer>1 to 2</answer>\u2003\x1c")
+@example("<answer>B</answer>\xa0<glue>1 to 2</glue>\x85")
+@example("<answer><answer>1 to 2</answer></answer><glue><glue>3 to 4</glue>")
+@example("<answer>1 to 2</answer><answer>3 to 4")
+def test_read_matches_regex_readers(raw):
+    for task in TaskKind:
+        want_intervals = regex_extract_intervals(raw, task)
+        want_text = regex_extract_answer_text(raw) if task is TaskKind.GVQA else None
+        assert extract_intervals(raw, task) == want_intervals
+        for strict in (False, True):
+            want = _outcome(regex_parse, raw, task, strict)
+            reading = read(raw, task, strict)
+            assert _outcome(lambda: reading.parsed) == want
+            assert _outcome(parse, raw, task, strict) == want
+            assert format_reward(raw, task, strict) == isinstance(want, ParsedOutput)
+            assert reading.intervals == want_intervals
+            assert reading.answer_text == want_text
+    assert extract_answer_text(raw) == regex_extract_answer_text(raw)
+
+
+def test_regex_whitespace_is_str_isspace():
+    # the strict suffix check strips with str.rstrip where the patterns use \s
+    space = re.compile(r"\s")
+    assert all(
+        (space.match(chr(c)) is not None) == chr(c).isspace() for c in range(0x110000)
+    )

@@ -3,13 +3,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import dense_dp_match
+from helpers import brute_force_match, dense_dp_match
 
 from temposcore import (
     Interval,
     TalConfig,
     TaskKind,
-    brute_force_match,
     classification_reward,
     dp_match,
     instance_number_reward,
