@@ -8,6 +8,10 @@ Subcommands:
     simulate  run the toy policy-optimization loop on a scenario file
 
 Exit codes: 0 success, 1 internal error, 2 input-schema error.
+
+``eval`` and ``reward`` read the dataset in one pass, scoring each line as
+it is read, and write once, at the end: a malformed line anywhere exits 2
+with nothing written.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .grpo import GrpoConfig, ScenarioError, load_scenario, run_simulation, stan
 from .intervals import Interval, iou
 from .records import (
     DatasetError,
-    load_dataset,
+    iter_dataset,
     render_report,
     render_reward_record,
 )
@@ -73,7 +77,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    samples = load_dataset(args.dataset)
+    samples = iter_dataset(args.dataset)
     report = aggregate(samples, strict=cfg.strict_parse, clamp=cfg.clamp_to_duration)
     _emit(render_report(report), args.out)
     return EXIT_OK
@@ -82,9 +86,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_reward(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     tal_cfg = cfg.tal_config()
-    samples = load_dataset(args.dataset)
     lines = []
-    for s in samples:
+    for s in iter_dataset(args.dataset):
         breakdown = total_reward(
             s.prediction_raw, s.task, s.gt_intervals, s.gt_answer,
             cfg=tal_cfg, strict=cfg.strict_parse, tal_normalize=cfg.tal_normalize,

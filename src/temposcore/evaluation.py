@@ -22,7 +22,7 @@ failed regardless of whether anything was still extractable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .intervals import Interval, iou, merge, set_iou
 from .parsing import ParseError, TaskKind, read
@@ -49,6 +49,8 @@ class Sample:
             raise ValueError(f"sample {self.id}: gt_intervals must be non-empty")
         if (self.gt_answer is not None) != (self.task is TaskKind.GVQA):
             raise ValueError(f"sample {self.id}: gt_answer must be present exactly for GVQA")
+        if self.gt_answer is not None and not self.gt_answer.strip():
+            raise ValueError(f"sample {self.id}: gt_answer must be non-empty")
         if self.task is TaskKind.TG and len(self.gt_intervals) != 1:
             raise ValueError(f"sample {self.id}: TG requires exactly one ground-truth interval")
         if self.duration is not None and not self.duration > 0:
@@ -75,12 +77,6 @@ class EvalReport:
     blocks: dict[TaskKind, TaskBlock] = field(default_factory=dict)
 
 
-def _check_task(samples: Sequence[Sample], task: TaskKind) -> None:
-    for s in samples:
-        if s.task is not task:
-            raise ValueError(f"sample {s.id} has task {s.task.value}, expected {task.value}")
-
-
 def _clamp_interval(iv: Interval, duration: float) -> Interval:
     return Interval(min(iv.start, duration), min(iv.end, duration))
 
@@ -105,114 +101,131 @@ def _recall_map(scores: Sequence[float], thresholds: Sequence[float]) -> dict[fl
     return {t: sum(1 for s in scores if s >= t) / len(scores) for t in thresholds}
 
 
-def eval_tg(samples: Sequence[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
-    _check_task(samples, TaskKind.TG)
-    block = TaskBlock(task=TaskKind.TG, n_samples=len(samples))
-    if not samples:
-        return block
-    scores: list[float] = []
-    for s in samples:
-        preds, failed, _ = _predicted(s, strict, clamp)
-        block.n_parse_failures += failed
-        scores.append(iou(preds[0], s.gt_intervals[0]) if preds else 0.0)
-    block.miou = _mean(scores)
-    block.recall_at = _recall_map(scores, RECALL_THRESHOLDS)
-    return block
+@dataclass
+class _Tally:
+    """What one task's metrics need of each sample it has scored, in input order.
+
+    ``scores`` holds the per-sample score (mIoU, or the DTG sample score);
+    ``pair_ious`` the DTG IoU of every (sample, gt event) pair; ``correct``
+    the GVQA answer rewards; ``f1_at`` the TAL F1 of each sample per
+    threshold. No sample is kept.
+    """
+
+    task: TaskKind
+    n_samples: int = 0
+    n_parse_failures: int = 0
+    scores: list[float] = field(default_factory=list)
+    pair_ious: list[float] = field(default_factory=list)
+    correct: list[int] = field(default_factory=list)
+    f1_at: dict[float, list[float]] = field(
+        default_factory=lambda: {t: [] for t in TAL_THRESHOLDS}
+    )
 
 
-def eval_dtg(samples: Sequence[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
-    _check_task(samples, TaskKind.DTG)
-    block = TaskBlock(task=TaskKind.DTG, n_samples=len(samples))
-    if not samples:
-        return block
-    sample_scores: list[float] = []
-    pair_ious: list[float] = []
-    for s in samples:
-        preds, failed, _ = _predicted(s, strict, clamp)
-        block.n_parse_failures += failed
-        sample_scores.append(reward_type1(preds, s.gt_intervals))
-        # every gt event is a recall unit; events beyond the prediction count miss
-        for i, gt in enumerate(s.gt_intervals):
-            pair_ious.append(iou(preds[i], gt) if i < len(preds) else 0.0)
-    block.miou = _mean(sample_scores)
-    block.recall_at = _recall_map(pair_ious, RECALL_THRESHOLDS)
-    block.per_sample_recall_at = _recall_map(sample_scores, RECALL_THRESHOLDS)
-    return block
+def _score_tg(tally: _Tally, s: Sample, preds: tuple[Interval, ...], answer: str | None) -> None:
+    tally.scores.append(iou(preds[0], s.gt_intervals[0]) if preds else 0.0)
 
 
-def eval_vhd(samples: Sequence[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
-    _check_task(samples, TaskKind.VHD)
-    block = TaskBlock(task=TaskKind.VHD, n_samples=len(samples))
-    if not samples:
-        return block
-    scores: list[float] = []
-    for s in samples:
-        preds, failed, _ = _predicted(s, strict, clamp)
-        block.n_parse_failures += failed
-        scores.append(set_iou(merge(preds), merge(s.gt_intervals)) if preds else 0.0)
-    block.miou = _mean(scores)
-    block.recall_at = _recall_map(scores, RECALL_THRESHOLDS)
-    return block
+def _score_dtg(tally: _Tally, s: Sample, preds: tuple[Interval, ...], answer: str | None) -> None:
+    tally.scores.append(reward_type1(preds, s.gt_intervals))
+    # every gt event is a recall unit; events beyond the prediction count miss
+    for i, gt in enumerate(s.gt_intervals):
+        tally.pair_ious.append(iou(preds[i], gt) if i < len(preds) else 0.0)
 
 
-def eval_gvqa(samples: Sequence[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
-    _check_task(samples, TaskKind.GVQA)
-    block = TaskBlock(task=TaskKind.GVQA, n_samples=len(samples))
-    if not samples:
-        return block
-    scores: list[float] = []
-    correct: list[int] = []
-    for s in samples:
-        if s.gt_answer is None:
-            raise ValueError(f"sample {s.id}: GVQA evaluation requires gt_answer")
-        preds, failed, answer = _predicted(s, strict, clamp)
-        block.n_parse_failures += failed
-        scores.append(set_iou(merge(preds), merge(s.gt_intervals)) if preds else 0.0)
-        correct.append(classification_reward(answer, s.gt_answer) if answer is not None else 0)
-    block.accuracy = _mean(correct)
-    block.miou = _mean(scores)
-    block.recall_at = _recall_map(scores, RECALL_THRESHOLDS)
-    return block
+def _score_union(tally: _Tally, s: Sample, preds: tuple[Interval, ...], answer: str | None) -> None:
+    tally.scores.append(set_iou(merge(preds), merge(s.gt_intervals)) if preds else 0.0)
 
 
-def eval_tal(samples: Sequence[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
-    _check_task(samples, TaskKind.TAL)
-    block = TaskBlock(task=TaskKind.TAL, n_samples=len(samples))
-    if not samples:
-        return block
-    per_threshold: dict[float, list[float]] = {t: [] for t in TAL_THRESHOLDS}
-    for s in samples:
-        preds, failed, _ = _predicted(s, strict, clamp)
-        block.n_parse_failures += failed
-        match = dp_match(preds, s.gt_intervals)
-        for t in TAL_THRESHOLDS:
-            tp = sum(1 for v in match.pair_ious if v >= t)
-            per_threshold[t].append(_prf(tp, len(preds), len(s.gt_intervals))[2])
-    block.f1_at = {t: _mean(v) for t, v in per_threshold.items()}
-    block.mf1 = _mean(list(block.f1_at.values()))
-    return block
+def _score_gvqa(tally: _Tally, s: Sample, preds: tuple[Interval, ...], answer: str | None) -> None:
+    _score_union(tally, s, preds, answer)
+    tally.correct.append(classification_reward(answer, s.gt_answer) if answer is not None else 0)
 
 
-_EVALUATORS = {
-    TaskKind.TG: eval_tg,
-    TaskKind.DTG: eval_dtg,
-    TaskKind.VHD: eval_vhd,
-    TaskKind.GVQA: eval_gvqa,
-    TaskKind.TAL: eval_tal,
+def _score_tal(tally: _Tally, s: Sample, preds: tuple[Interval, ...], answer: str | None) -> None:
+    match = dp_match(preds, s.gt_intervals)
+    for t, f1s in tally.f1_at.items():
+        tp = sum(1 for v in match.pair_ious if v >= t)
+        f1s.append(_prf(tp, len(preds), len(s.gt_intervals))[2])
+
+
+_SCORERS = {
+    TaskKind.TG: _score_tg,
+    TaskKind.DTG: _score_dtg,
+    TaskKind.VHD: _score_union,
+    TaskKind.GVQA: _score_gvqa,
+    TaskKind.TAL: _score_tal,
 }
 
 
-def aggregate(samples: Sequence[Sample], strict: bool = False, clamp: bool = False) -> EvalReport:
-    """Partition a mixed corpus by task and evaluate each block.
+def _add(tally: _Tally, s: Sample, strict: bool, clamp: bool) -> None:
+    """Score one sample of ``tally``'s task into it."""
+    preds, failed, answer = _predicted(s, strict, clamp)
+    tally.n_samples += 1
+    tally.n_parse_failures += failed
+    _SCORERS[tally.task](tally, s, preds, answer)
 
-    Every task gets a block (with n_samples = 0 when absent) so report
-    shapes are stable; blocks appear in fixed task order and samples are
-    scored in input order, making the report deterministic.
-    """
-    by_task: dict[TaskKind, list[Sample]] = {task: [] for task in TaskKind}
+
+def _finish(tally: _Tally) -> TaskBlock:
+    block = TaskBlock(
+        task=tally.task, n_samples=tally.n_samples, n_parse_failures=tally.n_parse_failures
+    )
+    if not tally.n_samples:
+        return block
+    if tally.task is TaskKind.TAL:
+        block.f1_at = {t: _mean(v) for t, v in tally.f1_at.items()}
+        block.mf1 = _mean(list(block.f1_at.values()))
+        return block
+    if tally.task is TaskKind.GVQA:
+        block.accuracy = _mean(tally.correct)
+    block.miou = _mean(tally.scores)
+    if tally.task is TaskKind.DTG:
+        block.recall_at = _recall_map(tally.pair_ious, RECALL_THRESHOLDS)
+        block.per_sample_recall_at = _recall_map(tally.scores, RECALL_THRESHOLDS)
+    else:
+        block.recall_at = _recall_map(tally.scores, RECALL_THRESHOLDS)
+    return block
+
+
+def _evaluate(task: TaskKind, samples: Iterable[Sample], strict: bool, clamp: bool) -> TaskBlock:
+    tally = _Tally(task)
     for s in samples:
-        by_task[s.task].append(s)
-    report = EvalReport()
-    for task in TaskKind:
-        report.blocks[task] = _EVALUATORS[task](by_task[task], strict=strict, clamp=clamp)
-    return report
+        if s.task is not task:
+            raise ValueError(f"sample {s.id} has task {s.task.value}, expected {task.value}")
+        _add(tally, s, strict, clamp)
+    return _finish(tally)
+
+
+def eval_tg(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
+    return _evaluate(TaskKind.TG, samples, strict, clamp)
+
+
+def eval_dtg(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
+    return _evaluate(TaskKind.DTG, samples, strict, clamp)
+
+
+def eval_vhd(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
+    return _evaluate(TaskKind.VHD, samples, strict, clamp)
+
+
+def eval_gvqa(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
+    return _evaluate(TaskKind.GVQA, samples, strict, clamp)
+
+
+def eval_tal(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
+    return _evaluate(TaskKind.TAL, samples, strict, clamp)
+
+
+def aggregate(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> EvalReport:
+    """Score a mixed corpus in one pass and report every task.
+
+    ``samples`` may be any iterable, a generator included: each sample is
+    scored as it arrives and only its per-sample scores are kept. Every task
+    gets a block (with n_samples = 0 when absent) so report shapes are
+    stable; blocks appear in fixed task order and each task's scores are
+    summed in input order, making the report deterministic.
+    """
+    tallies = {task: _Tally(task) for task in TaskKind}
+    for s in samples:
+        _add(tallies[s.task], s, strict, clamp)
+    return EvalReport(blocks={task: _finish(tally) for task, tally in tallies.items()})

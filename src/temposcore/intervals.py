@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -66,7 +67,12 @@ def _interval_from_pair(pair: object) -> Interval:
     """
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ValueError("not a [start, end] pair")
-    start, end = _finite_float(pair[0]), _finite_float(pair[1])
+    start, end = pair
+    # fast path for two finite floats; NaN and infinities take the checked path
+    if (type(start) is float and type(end) is float
+            and math.isfinite(start) and math.isfinite(end)):
+        return Interval(start, end)
+    start, end = _finite_float(start), _finite_float(end)
     if start is None or end is None:
         raise ValueError("endpoints must be finite numbers")
     return Interval(start, end)
@@ -116,13 +122,16 @@ def iou(a: Interval, b: Interval) -> float:
     return inter / union
 
 
+_CHRONO = attrgetter("start", "end")
+
+
 def merge(xs: Iterable[Interval]) -> IntervalSet:
     """Merge intervals into canonical disjoint sorted form.
 
     Intervals that overlap or share an endpoint are coalesced. Idempotent:
     merging a canonical set's members reproduces it exactly.
     """
-    ordered = sorted(xs)
+    ordered = sorted(xs, key=_CHRONO)
     if not ordered:
         return IntervalSet(())
     out: list[Interval] = []

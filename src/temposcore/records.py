@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .evaluation import (
     EvalReport,
@@ -41,6 +41,7 @@ class DatasetError(ValueError):
 
 _REQUIRED_FIELDS = {"id", "task", "gt_intervals", "prediction"}
 _ALL_FIELDS = _REQUIRED_FIELDS | {"duration", "gt_answer"}
+_TASKS = {task.value: task for task in TaskKind}
 
 
 def sample_from_record(record: dict, line_no: int) -> Sample:
@@ -54,10 +55,10 @@ def sample_from_record(record: dict, line_no: int) -> Sample:
         raise DatasetError(line_no, f"unexpected fields: {', '.join(sorted(unknown))}")
     if not isinstance(record["id"], str) or not record["id"]:
         raise DatasetError(line_no, "id must be a non-empty string")
-    try:
-        task = TaskKind(record["task"])
-    except ValueError:
-        raise DatasetError(line_no, f"unknown task tag {record['task']!r}") from None
+    tag = record["task"]
+    task = _TASKS.get(tag) if isinstance(tag, str) else None
+    if task is None:
+        raise DatasetError(line_no, f"unknown task tag {tag!r}")
     if not isinstance(record["prediction"], str):
         raise DatasetError(line_no, "prediction must be a string")
     raw_gts = record["gt_intervals"]
@@ -90,9 +91,13 @@ def sample_from_record(record: dict, line_no: int) -> Sample:
         raise DatasetError(line_no, str(exc)) from exc
 
 
-def load_dataset(path: str | Path) -> list[Sample]:
-    """Read a JSONL dataset; raises DatasetError naming the offending line."""
-    samples: list[Sample] = []
+def iter_dataset(path: str | Path) -> Iterator[Sample]:
+    """Yield the samples of a JSONL dataset in file order, one line at a time.
+
+    Each line is decoded and checked as it is reached, so a malformed line
+    raises DatasetError (naming it) only after every earlier sample has
+    been yielded.
+    """
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -101,8 +106,12 @@ def load_dataset(path: str | Path) -> list[Sample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(line_no, f"invalid JSON: {exc}") from exc
-            samples.append(sample_from_record(record, line_no))
-    return samples
+            yield sample_from_record(record, line_no)
+
+
+def load_dataset(path: str | Path) -> list[Sample]:
+    """Read a JSONL dataset; raises DatasetError naming the offending line."""
+    return list(iter_dataset(path))
 
 
 def sample_to_record(sample: Sample) -> dict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .intervals import Interval, iou, merge, set_iou
+from .intervals import _CHRONO, Interval, iou, merge, set_iou
 from .parsing import ParseError, TaskKind, read
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class RewardBreakdown:
 
 
 def _sorted_chrono(xs: Sequence[Interval]) -> list[Interval]:
-    return sorted(xs, key=lambda iv: (iv.start, iv.end))
+    return sorted(xs, key=_CHRONO)
 
 
 def _prf(siou: float, n_pred: int, n_gt: int) -> tuple[float, float, float]:

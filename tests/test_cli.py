@@ -314,3 +314,77 @@ class TestSimulateCommand:
                      "--learning-rate", "0.5"]) == 0
         moved = capsys.readouterr().out
         assert "slot0_p=0.3333" not in moved
+
+
+class TestStreamedDatasetErrors:
+    """eval and reward score lines as they read them, but still write nothing on a bad line."""
+
+    GOOD = [
+        {"id": "tg", "task": "TG", "gt_intervals": [[3.0, 9.0]],
+         "prediction": "<answer>3.0 to 9.0</answer>"},
+        {"id": "tal", "task": "TAL", "gt_intervals": [[2.0, 8.0]],
+         "prediction": "<answer>0.0 to 4.0, 6.0 to 10.0</answer>"},
+        {"id": "g", "task": "GVQA", "gt_intervals": [[1.0, 2.0]], "gt_answer": "B",
+         "prediction": "<answer>B</answer><glue>1.0 to 2.0</glue>"},
+    ]
+
+    def _dataset(self, tmp_path, last_line):
+        path = tmp_path / "late.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in self.GOOD) + "\n" + last_line + "\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "reward"])
+    @pytest.mark.parametrize(
+        "last_line, message",
+        [
+            ("{not json}", "line 5: invalid JSON"),
+            ('{"id": "z", "task": "TG", "gt_intervals": [[9, 1]], "prediction": "x"}',
+             "line 5: bad gt interval [9, 1]: interval end < start"),
+            ('{"id": "z", "task": "TG", "gt_intervals": [[0, 1]]}',
+             "line 5: missing fields: prediction"),
+        ],
+    )
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_malformed_last_line_writes_nothing(self, tmp_path, capsys, command, last_line,
+                                                message, to_file):
+        path = self._dataset(tmp_path, last_line)
+        out = tmp_path / "out.txt"
+        argv = [command, "--dataset", str(path)] + (["--out", str(out)] if to_file else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "reward"])
+    @pytest.mark.parametrize(
+        "gts, shown",
+        [("[[NaN, 5.0]]", "[nan, 5.0]"), ("[[1.0, Infinity]]", "[1.0, inf]"),
+         ("[[-Infinity, 2.5]]", "[-inf, 2.5]")],
+    )
+    def test_non_finite_float_endpoint_message(self, tmp_path, capsys, command, gts, shown):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "task": "TG", "gt_intervals": ' + gts +
+                        ', "prediction": "<answer>1 to 5</answer>"}\n')
+        assert main([command, "--dataset", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 1: bad gt interval {shown}: endpoints must be finite numbers\n"
+        )
+
+    @pytest.mark.parametrize("tag", [["TG"], {"t": "TG"}, 1, None, True, "tg"])
+    def test_unknown_task_tag_of_any_json_type(self, tag):
+        record = {"id": "x", "task": tag, "gt_intervals": [[0, 1]], "prediction": ""}
+        with pytest.raises(DatasetError) as exc:
+            sample_from_record(record, line_no=3)
+        assert str(exc.value) == f"line 3: unknown task tag {tag!r}"
+
+    @pytest.mark.parametrize("command", ["eval", "reward"])
+    def test_blank_gt_answer_is_a_dataset_error(self, tmp_path, capsys, command):
+        # scoring could not compare against a blank answer; it is rejected where it is read
+        blank = {"id": "g2", "task": "GVQA", "gt_intervals": [[1.0, 2.0]], "gt_answer": " \t",
+                 "prediction": "<answer>B</answer><glue>1.0 to 2.0</glue>"}
+        path = self._dataset(tmp_path, json.dumps(blank))
+        assert main([command, "--dataset", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 5: sample g2: gt_answer must be non-empty\n"

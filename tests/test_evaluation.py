@@ -1,4 +1,8 @@
+import dataclasses
 import random
+import tracemalloc
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +19,11 @@ from temposcore import (
     eval_tal,
     eval_tg,
     eval_vhd,
+    iter_dataset,
+    load_dataset,
     serialize,
     total_reward,
+    write_dataset,
 )
 
 GARBAGE = "hmm, somewhere in the middle I think"
@@ -287,3 +294,77 @@ def test_garbage_never_helps_on_imperfect_corpus():
         degraded = collect_metrics(aggregate(mutated))
         for key, value in degraded.items():
             assert value <= baseline[key] + 1e-12, f"{key} increased after garbling {s.id}"
+
+
+class TestStreaming:
+    """``aggregate`` and ``eval_*`` score any iterable in one pass and keep no sample."""
+
+    FIXTURES = Path(__file__).parent / "fixtures"
+    CORPORA = ("mixed_corpus.jsonl", "varied_corpus.jsonl")
+    EVALUATORS = {
+        TaskKind.TG: eval_tg,
+        TaskKind.DTG: eval_dtg,
+        TaskKind.VHD: eval_vhd,
+        TaskKind.GVQA: eval_gvqa,
+        TaskKind.TAL: eval_tal,
+    }
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    @pytest.mark.parametrize("strict, clamp", [(False, False), (True, False), (False, True),
+                                               (True, True)])
+    def test_generator_equals_list(self, corpus, strict, clamp):
+        path = self.FIXTURES / corpus
+        listed = aggregate(load_dataset(path), strict=strict, clamp=clamp)
+        streamed = aggregate(iter_dataset(path), strict=strict, clamp=clamp)
+        assert streamed == listed
+        assert streamed.blocks[TaskKind.TG].n_samples > 0
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_eval_functions_accept_generators(self, corpus, task):
+        samples = [s for s in load_dataset(self.FIXTURES / corpus) if s.task is task]
+        evaluate = self.EVALUATORS[task]
+        streamed = evaluate((s for s in samples), strict=True, clamp=True)
+        assert streamed == evaluate(samples, strict=True, clamp=True)
+        assert streamed.n_samples == len(samples) > 0
+        assert streamed == aggregate(samples, strict=True, clamp=True).blocks[task]
+
+    def test_wrong_task_raises_inside_the_loop(self):
+        samples = [perfect(TaskKind.TG, [(1, 2)], sid="a"),
+                   perfect(TaskKind.TAL, [(1, 2)], sid="b")]
+        with pytest.raises(ValueError, match="sample b has task TAL, expected TG"):
+            eval_tg(iter(samples))
+
+    def test_no_sample_outlives_aggregate(self):
+        refs = []
+
+        def tracked():
+            for s in iter_dataset(self.FIXTURES / "mixed_corpus.jsonl"):
+                refs.append(weakref.ref(s))
+                yield s
+
+        report = aggregate(tracked(), strict=True, clamp=True)
+        assert sum(b.n_samples for b in report.blocks.values()) == len(refs) == 100
+        assert [r for r in refs if r() is not None] == []
+
+    def test_streamed_peak_memory_is_a_fraction_of_loaded(self, tmp_path):
+        base = load_dataset(self.FIXTURES / "mixed_corpus.jsonl")
+        path = tmp_path / "corpus.jsonl"
+        write_dataset(
+            (dataclasses.replace(s, id=f"{s.id}-{k}") for k in range(30) for s in base), path
+        )
+
+        def peak(reader):
+            tracemalloc.start()
+            try:
+                report = aggregate(reader(path))
+                return tracemalloc.get_traced_memory()[1], report
+            finally:
+                tracemalloc.stop()
+
+        aggregate(iter_dataset(path))  # warm caches so neither measurement pays for them
+        streamed_peak, streamed = peak(iter_dataset)
+        loaded_peak, loaded = peak(load_dataset)
+        assert streamed == loaded
+        assert sum(b.n_samples for b in streamed.blocks.values()) == 3000
+        assert streamed_peak * 5 < loaded_peak, (streamed_peak, loaded_peak)
