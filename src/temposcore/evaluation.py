@@ -49,8 +49,6 @@ class Sample:
             raise ValueError(f"sample {self.id}: gt_intervals must be non-empty")
         if (self.gt_answer is not None) != (self.task is TaskKind.GVQA):
             raise ValueError(f"sample {self.id}: gt_answer must be present exactly for GVQA")
-        if self.gt_answer is not None and not self.gt_answer.strip():
-            raise ValueError(f"sample {self.id}: gt_answer must be non-empty")
         if self.task is TaskKind.TG and len(self.gt_intervals) != 1:
             raise ValueError(f"sample {self.id}: TG requires exactly one ground-truth interval")
         if self.duration is not None and not self.duration > 0:
@@ -149,12 +147,34 @@ def _score_tal(tally: _Tally, s: Sample, preds: tuple[Interval, ...], answer: st
         f1s.append(_prf(tp, len(preds), len(s.gt_intervals))[2])
 
 
-_SCORERS = {
-    TaskKind.TG: _score_tg,
-    TaskKind.DTG: _score_dtg,
-    TaskKind.VHD: _score_union,
-    TaskKind.GVQA: _score_gvqa,
-    TaskKind.TAL: _score_tal,
+def _finish_scores(tally: _Tally, block: TaskBlock) -> None:
+    block.miou = _mean(tally.scores)
+    block.recall_at = _recall_map(tally.scores, RECALL_THRESHOLDS)
+
+
+def _finish_dtg(tally: _Tally, block: TaskBlock) -> None:
+    block.miou = _mean(tally.scores)
+    block.recall_at = _recall_map(tally.pair_ious, RECALL_THRESHOLDS)
+    block.per_sample_recall_at = _recall_map(tally.scores, RECALL_THRESHOLDS)
+
+
+def _finish_gvqa(tally: _Tally, block: TaskBlock) -> None:
+    _finish_scores(tally, block)
+    block.accuracy = _mean(tally.correct)
+
+
+def _finish_tal(tally: _Tally, block: TaskBlock) -> None:
+    block.f1_at = {t: _mean(v) for t, v in tally.f1_at.items()}
+    block.mf1 = _mean(list(block.f1_at.values()))
+
+
+# each task's per-sample scorer and the finisher that turns its tally into metrics
+_TASK_METRICS = {
+    TaskKind.TG: (_score_tg, _finish_scores),
+    TaskKind.DTG: (_score_dtg, _finish_dtg),
+    TaskKind.VHD: (_score_union, _finish_scores),
+    TaskKind.GVQA: (_score_gvqa, _finish_gvqa),
+    TaskKind.TAL: (_score_tal, _finish_tal),
 }
 
 
@@ -163,27 +183,15 @@ def _add(tally: _Tally, s: Sample, strict: bool, clamp: bool) -> None:
     preds, failed, answer = _predicted(s, strict, clamp)
     tally.n_samples += 1
     tally.n_parse_failures += failed
-    _SCORERS[tally.task](tally, s, preds, answer)
+    _TASK_METRICS[tally.task][0](tally, s, preds, answer)
 
 
 def _finish(tally: _Tally) -> TaskBlock:
     block = TaskBlock(
         task=tally.task, n_samples=tally.n_samples, n_parse_failures=tally.n_parse_failures
     )
-    if not tally.n_samples:
-        return block
-    if tally.task is TaskKind.TAL:
-        block.f1_at = {t: _mean(v) for t, v in tally.f1_at.items()}
-        block.mf1 = _mean(list(block.f1_at.values()))
-        return block
-    if tally.task is TaskKind.GVQA:
-        block.accuracy = _mean(tally.correct)
-    block.miou = _mean(tally.scores)
-    if tally.task is TaskKind.DTG:
-        block.recall_at = _recall_map(tally.pair_ious, RECALL_THRESHOLDS)
-        block.per_sample_recall_at = _recall_map(tally.scores, RECALL_THRESHOLDS)
-    else:
-        block.recall_at = _recall_map(tally.scores, RECALL_THRESHOLDS)
+    if tally.n_samples:
+        _TASK_METRICS[tally.task][1](tally, block)
     return block
 
 

@@ -25,6 +25,8 @@ def _finite_float(value: object) -> float | None:
     JSON input is checked with this: Python's ``json`` reads ``true`` as a
     bool (an int subclass) and accepts ``Infinity`` and ``NaN``.
     """
+    if type(value) is float:  # the common case, a JSON number with a fraction
+        return value if math.isfinite(value) else None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     try:
@@ -67,12 +69,7 @@ def _interval_from_pair(pair: object) -> Interval:
     """
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ValueError("not a [start, end] pair")
-    start, end = pair
-    # fast path for two finite floats; NaN and infinities take the checked path
-    if (type(start) is float and type(end) is float
-            and math.isfinite(start) and math.isfinite(end)):
-        return Interval(start, end)
-    start, end = _finite_float(start), _finite_float(end)
+    start, end = _finite_float(pair[0]), _finite_float(pair[1])
     if start is None or end is None:
         raise ValueError("endpoints must be finite numbers")
     return Interval(start, end)

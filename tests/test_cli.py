@@ -378,13 +378,28 @@ class TestStreamedDatasetErrors:
             sample_from_record(record, line_no=3)
         assert str(exc.value) == f"line 3: unknown task tag {tag!r}"
 
+    BLANK = {"id": "g2", "task": "GVQA", "gt_intervals": [[1.0, 2.0]], "gt_answer": " \t",
+             "prediction": "no answer block"}
+
+    def test_blank_gt_answer_is_loaded_and_scored_without_an_answer_block(self, tmp_path,
+                                                                          capsys):
+        path = self._dataset(tmp_path, json.dumps(self.BLANK))
+        assert [s.gt_answer for s in load_dataset(path)][-1] == " \t"
+        assert main(["eval", "--dataset", str(path)]) == 0
+        assert "task=GVQA n_samples=2 " in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["eval", "reward"])
-    def test_blank_gt_answer_is_a_dataset_error(self, tmp_path, capsys, command):
-        # scoring could not compare against a blank answer; it is rejected where it is read
-        blank = {"id": "g2", "task": "GVQA", "gt_intervals": [[1.0, 2.0]], "gt_answer": " \t",
-                 "prediction": "<answer>B</answer><glue>1.0 to 2.0</glue>"}
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_blank_gt_answer_against_an_answer_writes_nothing(self, tmp_path, capsys, command,
+                                                              to_file):
+        # a blank ground truth cannot be compared with a predicted answer; the
+        # error is raised while scoring, and the output is still written only at the end
+        blank = dict(self.BLANK, prediction="<answer>B</answer><glue>1.0 to 2.0</glue>")
         path = self._dataset(tmp_path, json.dumps(blank))
-        assert main([command, "--dataset", str(path)]) == 2
+        out = tmp_path / "out.txt"
+        argv = [command, "--dataset", str(path)] + (["--out", str(out)] if to_file else [])
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: line 5: sample g2: gt_answer must be non-empty\n"
+        assert captured.err == "error: ground-truth answer must be non-empty\n"
+        assert not out.exists()
