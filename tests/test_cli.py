@@ -227,6 +227,10 @@ class TestSimulateCommand:
             ("tal_three.json", 0, [], "simulate_tal_three_s0.txt"),
             ("tal_three.json", 0, ["--tal-normalize", "--group-size", "4"],
              "simulate_tal_three_s0_norm_g4.txt"),
+            ("multitask_five.json", 3, [], "simulate_multitask_five_s3.txt"),
+            ("multitask_five.json", 3,
+             ["--tal-normalize", "--group-size", "5", "--kl-beta", "0.2"],
+             "simulate_multitask_five_s3_norm_g5_kl02.txt"),
         ],
     )
     def test_golden_seeded_output(self, capsys, scenario, seed, extra, golden):

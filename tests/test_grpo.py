@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -392,6 +393,55 @@ def test_single_inner_step_never_clips(tg_scenario):
     policy = ToyPolicy(tg_scenario.prompts)
     _, stats = grpo_step(policy, standard_reward_fn(), GrpoConfig(), rng_seed=3)
     assert stats.clip_fraction == 0.0
+
+
+# Six inner_steps=4 steps on the five-task scenario (lr 2.0, beta 0.2, seeds
+# (17, t)): the sha256 of the final params and each step's (mean_reward, kl,
+# clip_fraction) as float.hex(), as the per-response, per-slot step made them.
+# The CLI runs one inner step, so no golden output reaches this clipping path.
+_INNER_STEPS_PIN = {
+    "explicit ref": (
+        "7f3af540bb78d6417cbfc3ff6d3e42fee97d30975cd85cba97e11243e76c99b1",
+        [
+            ("0x1.468d927418b4ep+0", "0x1.1b5e5dd254b3cp+2", "0x1.e666666666666p-1"),
+            ("0x1.6f45dda05b34ap+0", "0x1.af5320391f35cp+2", "0x1.e666666666666p-1"),
+            ("0x1.7a31000bd531fp+0", "0x1.26a7cf6c61dd1p+3", "0x1.0000000000000p+0"),
+            ("0x1.7a4c08bcc8fd2p+0", "0x1.7fac1dcb2914cp+4", "0x1.a666666666666p-1"),
+            ("0x1.8da37fdfdd933p+0", "0x1.ca00067072594p+4", "0x1.999999999999ap-1"),
+            ("0x1.9a0d89aadbb16p+0", "0x1.d1579c509920ap+4", "0x1.199999999999ap-1"),
+        ],
+    ),
+    "input as ref": (
+        "1c2df30928a1bfcc984941012ecf837b091e5890b518aa2f9ba9bd2bf60eda30",
+        [
+            ("0x1.468d927418b4ep+0", "0x1.1b5e5dd254b3cp+2", "0x1.e666666666666p-1"),
+            ("0x1.6f45dda05b34ap+0", "0x1.4cda97d896d16p+1", "0x1.d99999999999ap-1"),
+            ("0x1.7a15d434b9a38p+0", "0x1.4a6f385d0395cp+1", "0x1.e666666666666p-1"),
+            ("0x1.7d5304b180246p+0", "0x1.f9ed99bc898aep+1", "0x1.0000000000000p+0"),
+            ("0x1.8e2758d81e6aep+0", "0x1.0aef0bffeffeep+2", "0x1.8cccccccccccdp-1"),
+            ("0x1.9ac6723c606bep+0", "0x1.df27d4cd98446p+1", "0x1.199999999999ap-1"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("ref_kind", sorted(_INNER_STEPS_PIN))
+def test_inner_steps_pinned_bitwise(ref_kind):
+    scenario = load_scenario(SCENARIOS / "multitask_five.json")
+    policy = ToyPolicy(scenario.prompts)
+    ref = policy.copy() if ref_kind == "explicit ref" else None
+    cfg = GrpoConfig(learning_rate=2.0, kl_beta=0.2)
+    stats = []
+    for t in range(6):
+        policy, s = grpo_step(
+            policy, standard_reward_fn(), cfg, rng_seed=(17, t), ref=ref, inner_steps=4
+        )
+        stats.append(tuple(float(v).hex() for v in (s.mean_reward, s.kl, s.clip_fraction)))
+    digest = hashlib.sha256()
+    for head in policy.params:
+        for name in sorted(head):
+            digest.update(np.ascontiguousarray(head[name]).tobytes())
+    assert (digest.hexdigest(), stats) == _INNER_STEPS_PIN[ref_kind]
 
 
 def test_policy_probabilities_sum_to_one(tg_scenario):
