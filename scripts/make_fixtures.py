@@ -1,19 +1,26 @@
 #!/usr/bin/env python3
-"""Regenerate the test fixture corpora and their frozen golden reports.
+"""Regenerate the test fixture corpora, their golden reports and the simulate goldens.
 
 Run from the repository root:
 
-    python3 scripts/make_fixtures.py
+    python3 scripts/make_fixtures.py          # rewrite tests/fixtures/
+    python3 scripts/make_fixtures.py --check  # regenerate into a temporary
+                                              # directory, diff, exit 1 on drift
 
 The perfect corpus serializes each sample's ground truth as its prediction,
 so every metric sits at its maximum. The varied corpus deterministically
 degrades a share of predictions (jitter, wrong counts, wrong answers,
-inverted pairs, garbage) to pin non-trivial report bytes.
+inverted pairs, garbage) to pin non-trivial report bytes. The simulate
+goldens are seeded ``temposcore simulate`` runs on the bundled scenarios.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import random
+import sys
+import tempfile
 from pathlib import Path
 
 from temposcore import Interval, ParsedOutput, Sample, TaskKind, serialize, write_dataset
@@ -21,6 +28,18 @@ from temposcore.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
+SCENARIOS = ROOT / "scenarios"
+
+# (golden file, scenario, seed, extra flags); every run takes 200 steps
+SIMULATIONS = (
+    ("simulate_tg_basic_s7.txt", "tg_basic.json", 7, []),
+    ("simulate_tal_three_s0.txt", "tal_three.json", 0, []),
+    ("simulate_tal_three_s0_norm_g4.txt", "tal_three.json", 0,
+     ["--tal-normalize", "--group-size", "4"]),
+    ("simulate_multitask_five_s3.txt", "multitask_five.json", 3, []),
+    ("simulate_multitask_five_s3_norm_g5_kl02.txt", "multitask_five.json", 3,
+     ["--tal-normalize", "--group-size", "5", "--kl-beta", "0.2"]),
+)
 
 OPTIONS = ("A", "B", "C", "D")
 
@@ -124,28 +143,62 @@ def varied_corpus(rng: random.Random, per_task: int = 8) -> list[Sample]:
     return out
 
 
-def main() -> None:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
+def write_fixtures(out: Path) -> list[str]:
+    """Write every fixture into ``out``; return the file names written."""
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
 
-    rng = random.Random(20240817)
-    mixed = perfect_corpus(rng)
-    write_dataset(mixed, FIXTURES / "mixed_corpus.jsonl")
-    code = cli_main(
-        ["eval", "--dataset", str(FIXTURES / "mixed_corpus.jsonl"),
-         "--out", str(FIXTURES / "golden_report.txt")]
-    )
-    assert code == 0
+    def cli(args: list[str], name: str) -> None:
+        code = cli_main(args + ["--out", str(out / name)])
+        assert code == 0, f"{name}: exit {code}"
+        written.append(name)
 
-    rng = random.Random(917)
-    varied = varied_corpus(rng)
-    write_dataset(varied, FIXTURES / "varied_corpus.jsonl")
-    code = cli_main(
-        ["eval", "--dataset", str(FIXTURES / "varied_corpus.jsonl"),
-         "--out", str(FIXTURES / "varied_report.txt")]
-    )
-    assert code == 0
+    for seed, build, corpus, report in (
+        (20240817, perfect_corpus, "mixed_corpus.jsonl", "golden_report.txt"),
+        (917, varied_corpus, "varied_corpus.jsonl", "varied_report.txt"),
+    ):
+        write_dataset(build(random.Random(seed)), out / corpus)
+        written.append(corpus)
+        cli(["eval", "--dataset", str(out / corpus)], report)
+
+    for name, scenario, seed, extra in SIMULATIONS:
+        cli(["simulate", "--scenario", str(SCENARIOS / scenario),
+             "--steps", "200", "--seed", str(seed), *extra], name)
+    return written
+
+
+def check() -> int:
+    """Regenerate into a temporary directory and diff against the committed fixtures."""
+    drifted = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in write_fixtures(Path(tmp)):
+            new = (Path(tmp) / name).read_text(encoding="utf-8")
+            path = FIXTURES / name
+            old = path.read_text(encoding="utf-8") if path.exists() else ""
+            if new != old:
+                drifted.append(name)
+                diff = difflib.unified_diff(
+                    old.splitlines(keepends=True), new.splitlines(keepends=True),
+                    f"tests/fixtures/{name}", f"regenerated/{name}", n=1,
+                )
+                sys.stdout.writelines(list(diff)[:40])
+    if drifted:
+        print(f"{len(drifted)} fixture(s) drifted: {', '.join(drifted)}")
+        return 1
+    print("fixtures match")
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="regenerate into a temporary directory and exit 1 on any drift")
+    if parser.parse_args().check:
+        return check()
+    write_fixtures(FIXTURES)
     print("fixtures written to", FIXTURES)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

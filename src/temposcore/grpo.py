@@ -24,7 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +46,12 @@ class GrpoConfig:
     std_floor: float = 1e-6
 
     def __post_init__(self) -> None:
+        # checked here, where scenario "grpo" blocks and CLI flags both enter
+        if isinstance(self.group_size, bool) or not isinstance(self.group_size, int):
+            raise ValueError("group_size must be an integer")
+        for name in ("clip_eps", "kl_beta", "learning_rate", "std_floor"):
+            if _finite_float(getattr(self, name)) is None:
+                raise ValueError(f"{name} must be a finite number")
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
         if not (0.0 < self.clip_eps < 1.0):
@@ -56,24 +62,6 @@ class GrpoConfig:
             raise ValueError("learning_rate must be >= 0")
         if not (self.std_floor > 0.0):
             raise ValueError("std_floor must be positive")
-
-
-@dataclass(frozen=True)
-class RolloutGroup:
-    """Rewards, standardized advantages, and likelihood ratios for one group."""
-
-    rewards: tuple[float, ...]
-    advantages: tuple[float, ...]
-    likelihood_ratios: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        g = len(self.rewards)
-        if g < 2:
-            raise ValueError("a rollout group needs at least 2 responses")
-        if len(self.advantages) != g or len(self.likelihood_ratios) != g:
-            raise ValueError("rewards, advantages, and ratios must have equal length")
-        if any(r <= 0.0 for r in self.likelihood_ratios):
-            raise ValueError("likelihood ratios must be positive")
 
 
 def group_advantages(rewards: Sequence[float], std_floor: float = 1e-6) -> list[float]:
@@ -92,29 +80,6 @@ def group_advantages(rewards: Sequence[float], std_floor: float = 1e-6) -> list[
     centered = r - r.mean()
     std = float(np.sqrt(np.mean(centered * centered)))
     return [float(v) for v in centered / max(std, std_floor)]
-
-
-def clipped_objective(group: RolloutGroup, cfg: GrpoConfig, kl: float) -> float:
-    """The clipped surrogate value for one group, minus the KL penalty."""
-    if kl < 0.0:
-        raise ValueError("kl must be >= 0")
-    total = 0.0
-    for r, a in zip(group.likelihood_ratios, group.advantages):
-        clipped = min(max(r, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps)
-        total += min(r * a, clipped * a)
-    return total - cfg.kl_beta * kl
-
-
-def kl_divergence(logp_current: Sequence[float], logp_reference: Sequence[float]) -> float:
-    """Exact categorical KL(p || q) from two log-probability tables."""
-    if len(logp_current) != len(logp_reference):
-        raise ValueError("log-probability tables must share the same support")
-    total = 0.0
-    for lp, lq in zip(logp_current, logp_reference):
-        p = math.exp(lp)
-        if p > 0.0:
-            total += p * (lp - lq)
-    return max(total, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +182,7 @@ class ToyPolicy:
         return {name: _log_softmax(z) for name, z in self.params[idx].items()}
 
     def sample(self, idx: int, rng: np.random.Generator) -> SampledResponse:
-        return sample_group(self.head_log_probs(idx), rng, 1)[0]
+        return sample_group(HeadTables.of(self.head_log_probs(idx)), rng, 1)[0]
 
     def decode(self, idx: int, resp: SampledResponse) -> str:
         prompt = self.prompts[idx]
@@ -226,26 +191,41 @@ class ToyPolicy:
         return serialize(ParsedOutput(intervals=intervals, answer_text=answer_text), prompt.task)
 
 
+class HeadTables(NamedTuple):
+    """One prompt's head log-probabilities and their ``exp``, each computed once.
+
+    The sampler's CDFs, the objective and the KL all read the same ``probs``.
+    """
+
+    logps: Params
+    probs: Params
+
+    @classmethod
+    def of(cls, logps: Params) -> "HeadTables":
+        return cls(logps, {name: np.exp(lp) for name, lp in logps.items()})
+
+
 # Generator.choice's tolerance on sum(p) - 1
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
-def _choice_cdf(logp: np.ndarray) -> list[float]:
-    """The CDF that ``rng.choice(len(logp), p=np.exp(logp))`` draws from.
+def _choice_cdfs(p: np.ndarray) -> list:
+    """The CDF that ``rng.choice(len(row), p=row)`` draws from, for each row of ``p``.
 
     Built with choice's own steps (cumsum, then divide by the last entry) and
     checked with choice's own test on ``p``, but once per head, not per draw.
+    A 1-D ``p`` gives one CDF; the rows of a C-contiguous matrix give the same
+    doubles as each row on its own (``test_rowwise_numpy_matches_per_row``).
     """
-    p = np.exp(logp)
-    if not ((p >= 0.0).all() and abs(p.sum() - 1.0) <= _CHOICE_ATOL):
+    if not ((p >= 0.0).all() and (abs(p.sum(axis=-1) - 1.0) <= _CHOICE_ATOL).all()):
         raise ValueError("probabilities are negative or do not sum to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf.tolist()
 
 
-def sample_group(logps: Params, rng: np.random.Generator, n: int) -> list[SampledResponse]:
-    """Draw ``n`` responses from one prompt's head log-probabilities.
+def sample_group(tables: HeadTables, rng: np.random.Generator, n: int) -> list[SampledResponse]:
+    """Draw ``n`` responses from one prompt's head tables.
 
     Each head's CDF is built once. A draw takes one ``rng.random()`` and
     returns the index ``rng.choice`` would (``bisect_right`` is its
@@ -253,9 +233,10 @@ def sample_group(logps: Params, rng: np.random.Generator, n: int) -> list[Sample
     slots 0..count-1, answer. A seeded stream therefore yields the same
     responses and leaves the generator in the same state as per-draw choice.
     """
-    count_cdf = _choice_cdf(logps["count"])
-    slot_cdfs = [_choice_cdf(row) for row in logps["slots"]]
-    answer_cdf = _choice_cdf(logps["answer"]) if "answer" in logps else None
+    probs = tables.probs
+    count_cdf = _choice_cdfs(probs["count"])
+    slot_cdfs = _choice_cdfs(probs["slots"])
+    answer_cdf = _choice_cdfs(probs["answer"]) if "answer" in probs else None
     uniform = rng.random
     out = []
     for _ in range(n):
@@ -275,27 +256,46 @@ def response_log_prob(logps: Params, resp: SampledResponse) -> float:
     return lp
 
 
-def _survival(count_probs: np.ndarray) -> np.ndarray:
-    """survival[s] = P(sampled count covers slot s), i.e. P(count >= s + 1)."""
-    return np.cumsum(count_probs[::-1])[::-1]
+class _Kl(NamedTuple):
+    """The exact KL of one prompt and the per-head terms its gradient reuses."""
+
+    value: float
+    count_scores: np.ndarray  # log p - log q, count head
+    count_kl: float
+    survival: np.ndarray  # survival[s] = P(sampled count covers slot s) = P(count >= s + 1)
+    slot_scores: np.ndarray
+    slot_kls: list[float]
+    answer_scores: np.ndarray | None
+    answer_kl: float
 
 
-def prompt_kl(cur: Params, ref: Params) -> float:
+def _kl(cur: HeadTables, ref: Params) -> _Kl:
+    logps, probs = cur
+    count_probs = probs["count"]
+    count_scores = logps["count"] - ref["count"]
+    count_kl = float((count_probs * count_scores).sum())
+    survival = np.cumsum(count_probs[::-1])[::-1]
+    slot_scores = logps["slots"] - ref["slots"]
+    slot_kls = (probs["slots"] * slot_scores).sum(axis=1).tolist()
+    value = count_kl
+    for s, kl_s in enumerate(slot_kls):
+        value += float(survival[s]) * kl_s
+    answer_scores, answer_kl = None, 0.0
+    if "answer" in logps:
+        answer_scores = logps["answer"] - ref["answer"]
+        answer_kl = float((probs["answer"] * answer_scores).sum())
+        value += answer_kl
+    return _Kl(value, count_scores, count_kl, survival, slot_scores, slot_kls,
+               answer_scores, answer_kl)
+
+
+def prompt_kl(cur: HeadTables, ref: Params) -> float:
     """Exact KL of the factorized response distribution for one prompt."""
-    count_probs = np.exp(cur["count"])
-    kl = float((count_probs * (cur["count"] - ref["count"])).sum())
-    surv = _survival(count_probs)
-    for s in range(cur["slots"].shape[0]):
-        probs = np.exp(cur["slots"][s])
-        kl += float(surv[s]) * float((probs * (cur["slots"][s] - ref["slots"][s])).sum())
-    if "answer" in cur:
-        probs = np.exp(cur["answer"])
-        kl += float((probs * (cur["answer"] - ref["answer"])).sum())
-    return max(kl, 0.0)
+    return max(_kl(cur, ref).value, 0.0)
 
 
 def objective_and_gradients(
-    logits: Params,
+    cur: HeadTables,
     responses: Sequence[SampledResponse],
     advantages: Sequence[float],
     old_log_probs: Sequence[float],
@@ -304,24 +304,25 @@ def objective_and_gradients(
 ) -> tuple[float, Params, float, int]:
     """Clipped-surrogate objective for one prompt, with analytic logit gradients.
 
-    Returns (objective, gradients, kl, n_clipped). ``n_clipped`` counts
-    responses whose surrogate sat on the constant clipped branch (no
-    gradient). The KL penalty and its gradient target ``ref_log_probs``.
+    ``cur`` holds the head tables of the logits being optimized. Returns
+    (objective, gradients, kl, n_clipped). ``n_clipped`` counts responses whose
+    surrogate sat on the constant clipped branch (no gradient). The KL penalty
+    and its gradient target ``ref_log_probs``. A zero-advantage response adds
+    nothing to the objective or the gradients, so only its clipping is counted.
     """
-    cur = {name: _log_softmax(z) for name, z in logits.items()}
-    probs = {name: np.exp(lp) for name, lp in cur.items()}
-    grads: Params = {name: np.zeros_like(z) for name, z in logits.items()}
+    logps, probs = cur
+    grads: Params = {name: np.zeros_like(lp) for name, lp in logps.items()}
+    hi, lo = 1.0 + cfg.clip_eps, 1.0 - cfg.clip_eps
 
     objective = 0.0
     n_clipped = 0
     for resp, adv, lp_old in zip(responses, advantages, old_log_probs):
-        lp_new = response_log_prob(cur, resp)
-        ratio = math.exp(lp_new - lp_old)
-        clipped = min(max(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps)
-        objective += min(ratio * adv, clipped * adv)
-        active = (adv >= 0.0 and ratio <= 1.0 + cfg.clip_eps) or (
-            adv < 0.0 and ratio >= 1.0 - cfg.clip_eps
-        )
+        ratio = math.exp(response_log_prob(logps, resp) - lp_old)
+        if adv == 0.0:
+            n_clipped += ratio > hi
+            continue
+        objective += min(ratio * adv, min(max(ratio, lo), hi) * adv)
+        active = (adv >= 0.0 and ratio <= hi) or (adv < 0.0 and ratio >= lo)
         if not active:
             n_clipped += 1
             continue
@@ -336,34 +337,25 @@ def objective_and_gradients(
             grads["answer"] -= coeff * probs["answer"]
 
     # exact KL penalty on the factorized distribution
+    kl = _kl(cur, ref_log_probs)
     count_probs = probs["count"]
-    count_scores = cur["count"] - ref_log_probs["count"]
-    kl_count = float((count_probs * count_scores).sum())
-    kl = kl_count
-    kl_grad: Params = {name: np.zeros_like(z) for name, z in logits.items()}
-    kl_grad["count"] += count_probs * (count_scores - kl_count)
-    surv = _survival(count_probs)
-    n_slots = logits["slots"].shape[0]
-    slot_index = np.arange(n_slots)
-    for s in range(n_slots):
-        slot_probs = probs["slots"][s]
-        slot_scores = cur["slots"][s] - ref_log_probs["slots"][s]
-        kl_s = float((slot_probs * slot_scores).sum())
-        kl += float(surv[s]) * kl_s
-        kl_grad["slots"][s] += surv[s] * slot_probs * (slot_scores - kl_s)
-        # the count head moves P(count >= s + 1), which reweights slot KLs
-        kl_grad["count"] += kl_s * count_probs * ((slot_index >= s).astype(float) - surv[s])
-    if "answer" in logits:
-        ans_probs = probs["answer"]
-        ans_scores = cur["answer"] - ref_log_probs["answer"]
-        kl_ans = float((ans_probs * ans_scores).sum())
-        kl += kl_ans
-        kl_grad["answer"] += ans_probs * (ans_scores - kl_ans)
+    kl_count_grad = count_probs * (kl.count_scores - kl.count_kl)
+    # the count head moves P(count >= s + 1), which reweights slot KLs
+    slot_index = np.arange(len(kl.slot_kls))
+    for s, kl_s in enumerate(kl.slot_kls):
+        kl_count_grad += kl_s * count_probs * ((slot_index >= s).astype(float) - kl.survival[s])
+    kl_grad: Params = {
+        "count": kl_count_grad,
+        "slots": kl.survival[:, None] * probs["slots"]
+        * (kl.slot_scores - np.array(kl.slot_kls)[:, None]),
+    }
+    if kl.answer_scores is not None:
+        kl_grad["answer"] = probs["answer"] * (kl.answer_scores - kl.answer_kl)
 
-    objective -= cfg.kl_beta * kl
+    objective -= cfg.kl_beta * kl.value
     for name in grads:
         grads[name] -= cfg.kl_beta * kl_grad[name]
-    return objective, grads, kl, n_clipped
+    return objective, grads, kl.value, n_clipped
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +365,10 @@ def objective_and_gradients(
 RewardFn = Callable[[str, PromptSpec], float]
 """Scores a decoded response for its prompt.
 
-A reward must be a deterministic function of ``(text, prompt)``:
-``grpo_step`` scores each distinct response of a group once and reuses the
-value for its repeats. ``standard_reward_fn`` is.
+A reward must be a deterministic function of ``(text, prompt)``: each
+distinct (prompt, response) is decoded and scored once per
+``run_simulation`` (once per ``grpo_step`` called on its own), and repeats
+reuse the value. ``standard_reward_fn`` is.
 """
 
 
@@ -386,17 +379,37 @@ class StepStats:
     clip_fraction: float
 
 
+class _RunCache:
+    """What one step hands the next within a run.
+
+    ``ref_logps`` are the frozen reference's log-probabilities, computed once.
+    ``tables`` are the head tables of ``policy``, the policy the last step
+    returned; a step handed any other policy computes its own. ``rewards``
+    maps (prompt index, response) to its reward (see ``RewardFn``).
+    """
+
+    def __init__(self, ref: ToyPolicy):
+        self.ref = self.policy = ref
+        self.tables = [HeadTables.of(ref.head_log_probs(i)) for i in range(len(ref.prompts))]
+        self.ref_logps = [t.logps for t in self.tables]
+        self.rewards: dict[tuple[int, SampledResponse], float] = {}
+
+
 def _score_group(
-    policy: ToyPolicy, idx: int, responses: Sequence[SampledResponse], reward_fn: RewardFn
+    policy: ToyPolicy,
+    idx: int,
+    responses: Sequence[SampledResponse],
+    reward_fn: RewardFn,
+    memo: dict[tuple[int, SampledResponse], float],
 ) -> list[float]:
-    """Rewards for one group, decoding and scoring each distinct response once."""
+    """Rewards for one group; a response already in ``memo`` is not decoded again."""
     prompt = policy.prompts[idx]
-    memo: dict[SampledResponse, float] = {}
     rewards = []
     for resp in responses:
-        reward = memo.get(resp)
+        key = (idx, resp)
+        reward = memo.get(key)
         if reward is None:
-            reward = memo[resp] = float(reward_fn(policy.decode(idx, resp), prompt))
+            reward = memo[key] = float(reward_fn(policy.decode(idx, resp), prompt))
         rewards.append(reward)
     return rewards
 
@@ -408,6 +421,7 @@ def grpo_step(
     rng_seed,
     ref: ToyPolicy | None = None,
     inner_steps: int = 1,
+    cache: _RunCache | None = None,
 ) -> tuple[ToyPolicy, StepStats]:
     """One optimization step: sample groups, score, ascend the objective.
 
@@ -417,43 +431,53 @@ def grpo_step(
     what exercises the clipping path. The input policy is not mutated.
     KL regularizes toward ``ref`` (the input policy when omitted).
 
-    Per prompt, the head log-probabilities of the policy and of ``ref`` are
-    computed once, and each distinct response of a group is scored once.
+    Each prompt's log-softmax is computed once per inner step, on the
+    updated logits; the last one is the next step's sampling table when
+    ``cache`` (kept by ``run_simulation``) carries it, together with the
+    reference's tables and the rewards of the run.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
+    frozen = policy if ref is None else ref
+    if cache is None or cache.ref is not frozen:
+        cache = _RunCache(frozen)
+    n_prompts = len(policy.prompts)
+    if cache.policy is policy:
+        tables = list(cache.tables)
+    else:
+        tables = [HeadTables.of(policy.head_log_probs(i)) for i in range(n_prompts)]
     rng = np.random.default_rng(rng_seed)
 
     batches = []
     all_rewards: list[float] = []
-    for i in range(len(policy.prompts)):
-        logps = policy.head_log_probs(i)
-        ref_logps = logps if ref is None else ref.head_log_probs(i)
-        responses = sample_group(logps, rng, cfg.group_size)
-        rewards = _score_group(policy, i, responses, reward_fn)
+    for i in range(n_prompts):
+        responses = sample_group(tables[i], rng, cfg.group_size)
+        rewards = _score_group(policy, i, responses, reward_fn, cache.rewards)
         advantages = group_advantages(rewards, cfg.std_floor)
-        old_vals = [response_log_prob(logps, r) for r in responses]
-        batches.append((i, responses, advantages, old_vals, ref_logps))
+        # With one inner step every ratio is exactly 1, so a zero-advantage
+        # response can neither move the policy nor clip: leave it out.
+        kept = [(r, a) for r, a in zip(responses, advantages) if a != 0.0 or inner_steps > 1]
+        old_vals = [response_log_prob(tables[i].logps, r) for r, _ in kept]
+        batches.append(([r for r, _ in kept], [a for _, a in kept], old_vals))
         all_rewards.extend(rewards)
 
     new = policy.copy()
+    total = cfg.group_size * n_prompts
     clip_fraction = 0.0
     for _ in range(inner_steps):
         clipped = 0
-        total = 0
-        for i, responses, advantages, old_vals, ref_logps in batches:
+        for i, (responses, advantages, old_vals) in enumerate(batches):
             _, grads, _, n_clipped = objective_and_gradients(
-                new.params[i], responses, advantages, old_vals, ref_logps, cfg,
+                tables[i], responses, advantages, old_vals, cache.ref_logps[i], cfg,
             )
             for name, g in grads.items():
                 new.params[i][name] += cfg.learning_rate * g
+            tables[i] = HeadTables.of(new.head_log_probs(i))
             clipped += n_clipped
-            total += len(responses)
         clip_fraction = clipped / total if total else 0.0
 
-    kl_after = sum(
-        prompt_kl(new.head_log_probs(i), ref_logps) for i, _, _, _, ref_logps in batches
-    )
+    kl_after = sum(prompt_kl(tables[i], cache.ref_logps[i]) for i in range(n_prompts))
+    cache.policy, cache.tables = new, tables
     mean_reward = sum(all_rewards) / len(all_rewards) if all_rewards else 0.0
     return new, StepStats(mean_reward=mean_reward, kl=kl_after, clip_fraction=clip_fraction)
 
@@ -546,16 +570,17 @@ def run_simulation(
 
     The KL reference is the initial (uniform) policy. Each step derives its
     own RNG stream from (seed, step), so curves are identical bit for bit
-    across runs with the same inputs.
+    across runs with the same inputs. One cache carries the head tables from
+    step to step, the reference's tables and every reward of the run.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     fn = reward_fn if reward_fn is not None else standard_reward_fn()
-    policy = ToyPolicy(scenario.prompts)
-    ref = policy.copy()
+    policy = ref = ToyPolicy(scenario.prompts)  # grpo_step never mutates its input
+    cache = _RunCache(ref)
     curve: list[CurvePoint] = []
     for t in range(steps):
-        policy, stats = grpo_step(policy, fn, cfg, rng_seed=(seed, t), ref=ref)
+        policy, stats = grpo_step(policy, fn, cfg, rng_seed=(seed, t), ref=ref, cache=cache)
         curve.append(CurvePoint(t, stats.mean_reward, stats.kl, stats.clip_fraction))
     return SimulationResult(
         name=scenario.name, curve=curve, policy=policy, summaries=summarize_policy(policy)

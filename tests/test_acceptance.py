@@ -36,8 +36,7 @@ from temposcore import (
     serialize,
 )
 from temposcore.cli import main as cli_main
-from temposcore.grpo import objective_and_gradients
-from test_grpo import finite_difference, random_gradient_config
+from test_grpo import finite_difference, policy_objective, random_gradient_config
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -116,14 +115,9 @@ def test_c5_gradient_check():
     cfg = GrpoConfig(clip_eps=0.2, kl_beta=0.1)
     worst = 0.0
     for _ in range(100):
-        logits, responses, advantages, old_lps, ref = random_gradient_config(rng, cfg)
-        _, analytic, _, _ = objective_and_gradients(
-            logits, responses, advantages, old_lps, ref, cfg
-        )
-        numeric = finite_difference(
-            logits,
-            lambda: objective_and_gradients(logits, responses, advantages, old_lps, ref, cfg)[0],
-        )
+        batch = random_gradient_config(rng, cfg)
+        _, analytic, _, _ = policy_objective(*batch, cfg)
+        numeric = finite_difference(batch[0].params[0], lambda: policy_objective(*batch, cfg)[0])
         flat_a = np.concatenate([analytic[k].ravel() for k in sorted(analytic)])
         flat_n = np.concatenate([numeric[k].ravel() for k in sorted(numeric)])
         err = float(np.linalg.norm(flat_a - flat_n) / max(np.linalg.norm(flat_n), 1e-8))

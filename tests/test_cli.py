@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,8 +10,9 @@ from temposcore import TaskKind, load_dataset, DatasetError
 from temposcore.cli import main, parse_inline_intervals
 from temposcore.records import sample_from_record, write_dataset
 
+ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SCENARIOS = ROOT / "scenarios"
 
 
 class TestDatasetIO:
@@ -301,6 +305,32 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
         assert f"error: prompt 0: {fragment}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grpo, flags, message",
+        [
+            ('{"group_size": 2.5}', [], "bad grpo config: group_size must be an integer"),
+            ('{"group_size": 1e400}', [], "bad grpo config: group_size must be an integer"),
+            ('{"group_size": true}', [], "bad grpo config: group_size must be an integer"),
+            ('{"kl_beta": NaN}', [], "bad grpo config: kl_beta must be a finite number"),
+            ('{"learning_rate": Infinity}', [],
+             "bad grpo config: learning_rate must be a finite number"),
+            ('{"std_floor": "1e-6"}', [], "bad grpo config: std_floor must be a finite number"),
+            ("{}", ["--kl-beta", "nan"], "kl_beta must be a finite number"),
+            ("{}", ["--learning-rate", "inf"], "learning_rate must be a finite number"),
+            ("{}", ["--clip-eps", "nan"], "clip_eps must be a finite number"),
+        ],
+    )
+    def test_non_numeric_grpo_settings_exit_2(self, tmp_path, capsys, grpo, flags, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"grpo": ' + grpo + ', "prompts": [{"task": "TG", "duration": 10, '
+            '"grid_step": 5, "gt_intervals": [[0, 5]]}]}'
+        )
+        assert main(["simulate", "--scenario", str(path), "--steps", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_scenario_grpo_config_with_flag_override(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -407,3 +437,14 @@ class TestStreamedDatasetErrors:
         assert captured.out == ""
         assert captured.err == "error: ground-truth answer must be non-empty\n"
         assert not out.exists()
+
+
+def test_fixture_script_check_finds_no_drift():
+    """Every committed fixture, simulate goldens included, regenerates byte for byte."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_fixtures.py"), "--check"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "fixtures match\n"

@@ -11,14 +11,11 @@ from helpers import choice_sample
 from temposcore import (
     GrpoConfig,
     Interval,
-    RolloutGroup,
     ScenarioError,
     TaskKind,
     ToyPolicy,
-    clipped_objective,
     group_advantages,
     grpo_step,
-    kl_divergence,
     load_scenario,
     run_simulation,
     uniform_grid,
@@ -27,6 +24,7 @@ import temposcore.grpo as grpo
 from temposcore.grpo import (
     MAX_GRID_CANDIDATES,
     MAX_SLOT_LOGITS,
+    HeadTables,
     PromptSpec,
     SampledResponse,
     objective_and_gradients,
@@ -89,88 +87,6 @@ class TestGroupAdvantages:
         assert group_advantages(scaled) == pytest.approx([-0.25, 0.25], abs=1e-12)
 
 
-class TestClippedObjective:
-    CFG = GrpoConfig(clip_eps=0.2, kl_beta=0.0)
-
-    def test_on_policy_sums_to_zero(self):
-        rewards = (2.0, 1.0, 0.0)
-        adv = tuple(group_advantages(list(rewards)))
-        group = RolloutGroup(rewards, adv, likelihood_ratios=(1.0, 1.0, 1.0))
-        assert clipped_objective(group, self.CFG, kl=0.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_positive_advantage_clipped_above(self):
-        group = RolloutGroup((1.0, 0.0), (1.0, 0.0), (1.5, 1.0))
-        assert clipped_objective(group, self.CFG, kl=0.0) == pytest.approx(1.2, abs=1e-12)
-
-    def test_negative_advantage_clipped_below(self):
-        group = RolloutGroup((0.0, 1.0), (-1.0, 0.0), (0.5, 1.0))
-        assert clipped_objective(group, self.CFG, kl=0.0) == pytest.approx(-0.8, abs=1e-12)
-
-    def test_kl_penalty_subtracts(self):
-        cfg = GrpoConfig(clip_eps=0.2, kl_beta=0.5)
-        group = RolloutGroup((1.0, 0.0), (0.0, 0.0), (1.0, 1.0))
-        assert clipped_objective(group, cfg, kl=2.0) == pytest.approx(-1.0, abs=1e-12)
-
-    @given(
-        st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=8),
-        st.lists(st.floats(0.01, 5.0, allow_nan=False), min_size=2, max_size=8),
-    )
-    def test_per_response_contribution_bounded(self, advantages, ratios):
-        n = min(len(advantages), len(ratios))
-        advantages, ratios = advantages[:n], ratios[:n]
-        cfg = GrpoConfig(clip_eps=0.2, kl_beta=0.0)
-        for a, r in zip(advantages, ratios):
-            clipped = min(max(r, 1 - cfg.clip_eps), 1 + cfg.clip_eps)
-            assert min(r * a, clipped * a) <= (1 + cfg.clip_eps) * abs(a) + 1e-12
-        group = RolloutGroup(tuple([0.0] * n), tuple(advantages), tuple(ratios))
-        total = clipped_objective(group, cfg, kl=0.0)
-        bound = sum((1 + cfg.clip_eps) * abs(a) for a in advantages)
-        assert total <= bound + 1e-9
-
-
-class TestKlDivergence:
-    def test_identical_tables(self):
-        table = [math.log(0.3), math.log(0.7)]
-        assert kl_divergence(table, table) == 0.0
-
-    def test_worked_example(self):
-        cur = [math.log(0.5), math.log(0.5)]
-        ref = [math.log(0.75), math.log(0.25)]
-        assert kl_divergence(cur, ref) == pytest.approx(0.1438, abs=1e-4)
-
-    def test_degenerate_current(self):
-        cur = [0.0, -math.inf]
-        ref = [math.log(0.5), math.log(0.5)]
-        assert kl_divergence(cur, ref) == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_support_mismatch(self):
-        with pytest.raises(ValueError):
-            kl_divergence([0.0], [math.log(0.5), math.log(0.5)])
-
-    @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=10), st.data())
-    def test_non_negative(self, weights, data):
-        other = data.draw(
-            st.lists(st.floats(0.01, 1.0), min_size=len(weights), max_size=len(weights))
-        )
-        p = np.log(np.array(weights) / sum(weights))
-        q = np.log(np.array(other) / sum(other))
-        assert kl_divergence(list(p), list(q)) >= 0.0
-
-
-class TestRolloutGroup:
-    def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            RolloutGroup((1.0,), (0.0,), (1.0,))
-
-    def test_ratio_positivity(self):
-        with pytest.raises(ValueError):
-            RolloutGroup((1.0, 2.0), (0.0, 0.0), (1.0, 0.0))
-
-    def test_length_agreement(self):
-        with pytest.raises(ValueError):
-            RolloutGroup((1.0, 2.0), (0.0,), (1.0, 1.0))
-
-
 class TestGrpoConfig:
     def test_defaults_valid(self):
         GrpoConfig()
@@ -187,6 +103,25 @@ class TestGrpoConfig:
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            GrpoConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"group_size": 2.5}, "group_size must be an integer"),
+            ({"group_size": math.inf}, "group_size must be an integer"),
+            ({"group_size": True}, "group_size must be an integer"),
+            ({"group_size": "8"}, "group_size must be an integer"),
+            ({"clip_eps": math.nan}, "clip_eps must be a finite number"),
+            ({"kl_beta": math.nan}, "kl_beta must be a finite number"),
+            ({"kl_beta": math.inf}, "kl_beta must be a finite number"),
+            ({"learning_rate": math.inf}, "learning_rate must be a finite number"),
+            ({"learning_rate": "0.5"}, "learning_rate must be a finite number"),
+            ({"std_floor": True}, "std_floor must be a finite number"),
+        ],
+    )
+    def test_non_numbers_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             GrpoConfig(**kwargs)
 
 
@@ -216,7 +151,7 @@ def random_prompt(rng: np.random.Generator) -> PromptSpec:
 
 
 def random_gradient_config(rng: np.random.Generator, cfg: GrpoConfig):
-    """A random (logits, responses, advantages, old-logps, ref) tuple.
+    """A random (policy, responses, advantages, old-logps, ref) tuple.
 
     Configurations whose ratios sit within 1e-3 of a clip boundary are
     rejected: the objective has a kink there and central differences are
@@ -251,7 +186,13 @@ def random_gradient_config(rng: np.random.Generator, cfg: GrpoConfig):
         )
         if near_kink:
             continue
-        return policy.params[0], responses, advantages, old_lps, ref.head_log_probs(0)
+        return policy, responses, advantages, old_lps, ref.head_log_probs(0)
+
+
+def policy_objective(policy, responses, advantages, old_lps, ref, cfg):
+    """``objective_and_gradients`` on the head tables of prompt 0's current logits."""
+    cur = HeadTables.of(policy.head_log_probs(0))
+    return objective_and_gradients(cur, responses, advantages, old_lps, ref, cfg)
 
 
 def finite_difference(logits, evaluate, h=1e-6):
@@ -275,14 +216,9 @@ def test_analytic_gradient_matches_finite_differences():
     rng = np.random.default_rng(2718)
     cfg = GrpoConfig(clip_eps=0.2, kl_beta=0.1)
     for _ in range(25):
-        logits, responses, advantages, old_lps, ref = random_gradient_config(rng, cfg)
-        _, analytic, _, _ = objective_and_gradients(
-            logits, responses, advantages, old_lps, ref, cfg
-        )
-        numeric = finite_difference(
-            logits,
-            lambda: objective_and_gradients(logits, responses, advantages, old_lps, ref, cfg)[0],
-        )
+        batch = random_gradient_config(rng, cfg)
+        _, analytic, _, _ = policy_objective(*batch, cfg)
+        numeric = finite_difference(batch[0].params[0], lambda: policy_objective(*batch, cfg)[0])
         flat_a = np.concatenate([analytic[k].ravel() for k in sorted(analytic)])
         flat_n = np.concatenate([numeric[k].ravel() for k in sorted(numeric)])
         err = np.linalg.norm(flat_a - flat_n) / max(np.linalg.norm(flat_n), 1e-8)
@@ -372,7 +308,7 @@ def test_large_beta_stays_closer_to_reference(tg_scenario):
                 policy, standard_reward_fn(), cfg, rng_seed=(99, t), ref=ref
             )
         return sum(
-            prompt_kl(policy.head_log_probs(i), ref.head_log_probs(i))
+            prompt_kl(HeadTables.of(policy.head_log_probs(i)), ref.head_log_probs(i))
             for i in range(len(policy.prompts))
         )
 
@@ -387,6 +323,22 @@ def test_clipping_exercised_with_inner_steps(tg_scenario):
         policy, stats = grpo_step(policy, standard_reward_fn(), cfg, rng_seed=(5, t), inner_steps=4)
         fractions.append(stats.clip_fraction)
     assert max(fractions) > 0.0
+
+
+def test_constant_reward_still_counts_clipping(tg_scenario):
+    """Zero-advantage responses add no gradient, yet count as clipped at later inner steps.
+
+    Every reward is equal, so only the KL pull toward the uniform reference
+    moves the peaked policy, raising the ratios of its off-peak responses
+    past 1 + eps. 0.625 (5 of 8) is what the per-response step counted.
+    """
+    ref = ToyPolicy(tg_scenario.prompts)
+    policy = ref.copy()
+    policy.params[0]["slots"][0, 0] += 3.0
+    cfg = GrpoConfig(kl_beta=1.0, learning_rate=1.0)
+    _, stats = grpo_step(policy, lambda text, prompt: 1.0, cfg, rng_seed=3, ref=ref,
+                         inner_steps=4)
+    assert stats.clip_fraction == 0.625
 
 
 def test_single_inner_step_never_clips(tg_scenario):
@@ -444,6 +396,122 @@ def test_inner_steps_pinned_bitwise(ref_kind):
     assert (digest.hexdigest(), stats) == _INNER_STEPS_PIN[ref_kind]
 
 
+def _one_slot_prompt() -> PromptSpec:
+    """A TG prompt over two candidates: one count choice, one slot head of two."""
+    return PromptSpec(task=TaskKind.TG, gt_intervals=(Interval(0, 1),),
+                      grid=(Interval(0, 1), Interval(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "adv, ratio, objective, n_clipped",
+    [
+        (1.0, 1.5, 1.2, 1),    # positive advantage, clipped above
+        (1.0, 1.1, 1.1, 0),
+        (-1.0, 0.5, -0.8, 1),  # negative advantage, clipped below
+        (-1.0, 1.5, -1.5, 0),
+        (0.0, 1.5, 0.0, 1),    # no gradient, but the ratio left the clip range
+        (0.0, 1.0, 0.0, 0),
+    ],
+)
+def test_clipped_surrogate_worked_examples(adv, ratio, objective, n_clipped):
+    cur = HeadTables.of(ToyPolicy([_one_slot_prompt()]).head_log_probs(0))
+    resp = SampledResponse(slots=(0,))
+    old = response_log_prob(cur.logps, resp) - math.log(ratio)
+    cfg = GrpoConfig(clip_eps=0.2, kl_beta=0.0)
+    got, grads, kl, clipped = objective_and_gradients(cur, [resp], [adv], [old], cur.logps, cfg)
+    assert got == pytest.approx(objective, abs=1e-12)
+    assert clipped == n_clipped
+    assert kl == 0.0
+    if clipped or adv == 0.0:
+        assert all(not g.any() for g in grads.values())
+
+
+def test_kl_worked_example_and_penalty():
+    cur = HeadTables.of({"count": np.zeros(1), "slots": np.log([[0.5, 0.5]])})
+    ref = {"count": np.zeros(1), "slots": np.log([[0.75, 0.25]])}
+    assert prompt_kl(cur, ref) == pytest.approx(0.1438, abs=1e-4)
+    cfg = GrpoConfig(kl_beta=0.5)
+    objective, _, kl, _ = objective_and_gradients(cur, [], [], [], ref, cfg)
+    assert kl == prompt_kl(cur, ref)
+    assert objective == -0.5 * kl
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 8.0, 40.0])
+def test_rowwise_numpy_matches_per_row(scale):
+    """Row-wise exp, sum(axis=1) and cumsum(axis=1) give each row's own doubles.
+
+    The step builds every slot head's CDF, KL term and gradient from whole
+    matrices; the seeded curves were made one row at a time.
+    """
+    rng = np.random.default_rng(int(scale * 10))
+    for _ in range(150):
+        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 601))
+        policy = ToyPolicy([PromptSpec(
+            task=TaskKind.TAL, gt_intervals=(Interval(0, 1),),
+            grid=tuple(Interval(k, k + 1) for k in range(cols)), max_instances=rows,
+        )])
+        policy.params[0]["slots"] = rng.normal(0.0, scale, size=(rows, cols))
+        logp = policy.head_log_probs(0)["slots"]
+        assert logp.flags.c_contiguous
+        probs = np.exp(logp)
+        scores = logp - rng.normal(0.0, scale, size=(rows, cols))
+        sums = probs.sum(axis=1)
+        weighted = (probs * scores).sum(axis=1)
+        cdfs = probs.cumsum(axis=1)
+        for r in range(rows):
+            row = np.exp(logp[r])
+            assert row.tobytes() == probs[r].tobytes()
+            assert row.sum().tobytes() == sums[r].tobytes()
+            assert (row * scores[r]).sum().tobytes() == weighted[r].tobytes()
+            assert row.cumsum().tobytes() == cdfs[r].tobytes()
+
+
+def test_run_decodes_and_scores_each_pair_once(monkeypatch):
+    """One reward memo per run: no (prompt, response) is decoded or scored twice."""
+    scenario = load_scenario(SCENARIOS / "tal_three.json")
+    scorer = standard_reward_fn()
+    scored, decoded = [], []
+
+    def counting(text, prompt):
+        scored.append((prompt, text))
+        return scorer(text, prompt)
+
+    decode = ToyPolicy.decode
+
+    def counting_decode(self, idx, resp):
+        decoded.append((idx, resp))
+        return decode(self, idx, resp)
+
+    monkeypatch.setattr(ToyPolicy, "decode", counting_decode)
+    res = run_simulation(scenario, GrpoConfig(), steps=60, seed=2, reward_fn=counting)
+    assert len(set(decoded)) == len(decoded) == len(set(scored)) == len(scored)
+    assert res.curve == run_simulation(scenario, GrpoConfig(), steps=60, seed=2).curve
+
+
+def test_run_matches_independent_steps():
+    """Carried tables and rewards give what fresh grpo_step calls give, bit for bit."""
+    scenario = load_scenario(SCENARIOS / "multitask_five.json")
+    cfg = GrpoConfig(kl_beta=0.3, learning_rate=1.5)
+    scorer = standard_reward_fn()
+    run_calls, step_calls = [], []
+
+    def counted(calls):
+        return lambda text, prompt: calls.append(text) or scorer(text, prompt)
+
+    res = run_simulation(scenario, cfg, steps=12, seed=4, reward_fn=counted(run_calls))
+    policy = ref = ToyPolicy(scenario.prompts)
+    curve = []
+    for t in range(12):
+        policy, stats = grpo_step(policy, counted(step_calls), cfg, rng_seed=(4, t), ref=ref)
+        curve.append((stats.mean_reward, stats.kl, stats.clip_fraction))
+    assert [(p.mean_reward, p.kl, p.clip_fraction) for p in res.curve] == curve
+    # a step on its own scores each distinct response of a group; the run, each one once
+    assert len(run_calls) < len(step_calls)
+    for got, expected in zip(res.policy.params, policy.params):
+        for key in expected:
+            assert got[key].tobytes() == expected[key].tobytes()
+
+
 def test_policy_probabilities_sum_to_one(tg_scenario):
     policy = ToyPolicy(tg_scenario.prompts)
     rng = np.random.default_rng(0)
@@ -458,7 +526,7 @@ def test_policy_probabilities_sum_to_one(tg_scenario):
 def test_prompt_kl_zero_for_identical_policies(tg_scenario):
     policy = ToyPolicy(tg_scenario.prompts)
     logps = policy.head_log_probs(0)
-    assert prompt_kl(logps, logps) == pytest.approx(0.0, abs=1e-12)
+    assert prompt_kl(HeadTables.of(logps), logps) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_response_log_prob_matches_manual():
@@ -514,7 +582,7 @@ def test_group_sampler_matches_per_draw_choice(
 
     fast_rng = np.random.default_rng((seed, 1))
     ref_rng = np.random.default_rng((seed, 1))
-    got = sample_group(logps, fast_rng, group_size)
+    got = sample_group(HeadTables.of(logps), fast_rng, group_size)
     expected = [choice_sample(logps, ref_rng) for _ in range(group_size)]
     assert got == expected
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -529,7 +597,7 @@ def test_group_sampler_rejects_nan_logits():
     policy = ToyPolicy([prompt])
     policy.params[0]["slots"][0, 0] = np.nan
     with pytest.raises(ValueError, match="probabilities"):
-        sample_group(policy.head_log_probs(0), np.random.default_rng(0), 4)
+        sample_group(HeadTables.of(policy.head_log_probs(0)), np.random.default_rng(0), 4)
 
 
 def test_each_distinct_response_scored_once(monkeypatch):
