@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .evaluation import aggregate
@@ -45,29 +45,6 @@ EXIT_INTERNAL = 1
 EXIT_SCHEMA = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """User-facing knobs shared across commands."""
-
-    sigma: float = 1.0
-    clamp_to_duration: bool = False
-    strict_parse: bool = False
-    tal_normalize: bool = False
-
-    def tal_config(self) -> TalConfig:
-        return TalConfig(sigma=self.sigma)
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    defaults = RunConfig()
-    return RunConfig(
-        sigma=getattr(args, "sigma", defaults.sigma),
-        clamp_to_duration=getattr(args, "clamp", defaults.clamp_to_duration),
-        strict_parse=getattr(args, "strict_parse", defaults.strict_parse),
-        tal_normalize=getattr(args, "tal_normalize", defaults.tal_normalize),
-    )
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -76,21 +53,18 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    samples = iter_dataset(args.dataset)
-    report = aggregate(samples, strict=cfg.strict_parse, clamp=cfg.clamp_to_duration)
+    report = aggregate(iter_dataset(args.dataset), strict=args.strict_parse, clamp=args.clamp)
     _emit(render_report(report), args.out)
     return EXIT_OK
 
 
 def cmd_reward(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    tal_cfg = cfg.tal_config()
+    tal_cfg = TalConfig(sigma=args.sigma)  # a bad --sigma exits 2 before any line is read
     lines = []
     for s in iter_dataset(args.dataset):
         breakdown = total_reward(
             s.prediction_raw, s.task, s.gt_intervals, s.gt_answer,
-            cfg=tal_cfg, strict=cfg.strict_parse, tal_normalize=cfg.tal_normalize,
+            cfg=tal_cfg, strict=args.strict_parse, tal_normalize=args.tal_normalize,
         )
         lines.append(render_reward_record(s, breakdown))
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)

@@ -195,35 +195,6 @@ def _finish(tally: _Tally) -> TaskBlock:
     return block
 
 
-def _evaluate(task: TaskKind, samples: Iterable[Sample], strict: bool, clamp: bool) -> TaskBlock:
-    tally = _Tally(task)
-    for s in samples:
-        if s.task is not task:
-            raise ValueError(f"sample {s.id} has task {s.task.value}, expected {task.value}")
-        _add(tally, s, strict, clamp)
-    return _finish(tally)
-
-
-def eval_tg(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
-    return _evaluate(TaskKind.TG, samples, strict, clamp)
-
-
-def eval_dtg(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
-    return _evaluate(TaskKind.DTG, samples, strict, clamp)
-
-
-def eval_vhd(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
-    return _evaluate(TaskKind.VHD, samples, strict, clamp)
-
-
-def eval_gvqa(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
-    return _evaluate(TaskKind.GVQA, samples, strict, clamp)
-
-
-def eval_tal(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> TaskBlock:
-    return _evaluate(TaskKind.TAL, samples, strict, clamp)
-
-
 def aggregate(samples: Iterable[Sample], strict: bool = False, clamp: bool = False) -> EvalReport:
     """Score a mixed corpus in one pass and report every task.
 

@@ -37,6 +37,11 @@ from .rewards import TalConfig, total_reward
 # Group math
 
 
+# The responses one prompt draws per step, all held at once: sample_group
+# builds the whole group before it is scored.
+MAX_GROUP_SIZE = 4096
+
+
 @dataclass(frozen=True)
 class GrpoConfig:
     group_size: int = 8
@@ -54,6 +59,10 @@ class GrpoConfig:
                 raise ValueError(f"{name} must be a finite number")
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
+        if self.group_size > MAX_GROUP_SIZE:
+            raise ValueError(
+                f"group_size {self.group_size} exceeds the limit of {MAX_GROUP_SIZE}"
+            )
         if not (0.0 < self.clip_eps < 1.0):
             raise ValueError("clip_eps must be in (0, 1)")
         if self.kl_beta < 0.0:
@@ -180,9 +189,6 @@ class ToyPolicy:
 
     def head_log_probs(self, idx: int) -> Params:
         return {name: _log_softmax(z) for name, z in self.params[idx].items()}
-
-    def sample(self, idx: int, rng: np.random.Generator) -> SampledResponse:
-        return sample_group(HeadTables.of(self.head_log_probs(idx)), rng, 1)[0]
 
     def decode(self, idx: int, resp: SampledResponse) -> str:
         prompt = self.prompts[idx]
@@ -515,21 +521,23 @@ class SimulationResult:
     summaries: tuple[PromptSummary, ...]
 
 
-def summarize_policy(policy: ToyPolicy) -> tuple[PromptSummary, ...]:
+def summarize_policy(
+    prompts: Sequence[PromptSpec], tables: Sequence[HeadTables]
+) -> tuple[PromptSummary, ...]:
+    """The modal choices of a policy, read from its head tables (one per prompt)."""
     out = []
-    for i, prompt in enumerate(policy.prompts):
-        logps = policy.head_log_probs(i)
-        count_probs = np.exp(logps["count"])
+    for i, (prompt, (_, probs)) in enumerate(zip(prompts, tables)):
+        count_probs = probs["count"]
         modal = int(np.argmax(count_probs))
         slots = []
         for s in range(modal + 1):
-            slot_probs = np.exp(logps["slots"][s])
+            slot_probs = probs["slots"][s]
             best = int(np.argmax(slot_probs))
             slots.append(SlotSummary(prompt.grid[best], float(slot_probs[best])))
         answer = None
         answer_prob = None
-        if "answer" in logps:
-            ans_probs = np.exp(logps["answer"])
+        if "answer" in probs:
+            ans_probs = probs["answer"]
             j = int(np.argmax(ans_probs))
             answer, answer_prob = prompt.options[j], float(ans_probs[j])
         out.append(
@@ -571,7 +579,8 @@ def run_simulation(
     The KL reference is the initial (uniform) policy. Each step derives its
     own RNG stream from (seed, step), so curves are identical bit for bit
     across runs with the same inputs. One cache carries the head tables from
-    step to step, the reference's tables and every reward of the run.
+    step to step, the reference's tables and every reward of the run; the
+    final summaries read the last step's tables.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -583,7 +592,8 @@ def run_simulation(
         policy, stats = grpo_step(policy, fn, cfg, rng_seed=(seed, t), ref=ref, cache=cache)
         curve.append(CurvePoint(t, stats.mean_reward, stats.kl, stats.clip_fraction))
     return SimulationResult(
-        name=scenario.name, curve=curve, policy=policy, summaries=summarize_policy(policy)
+        name=scenario.name, curve=curve, policy=policy,
+        summaries=summarize_policy(policy.prompts, cache.tables),
     )
 
 

@@ -96,12 +96,6 @@ class IntervalSet:
     def measure(self) -> float:
         return sum(iv.length for iv in self.intervals)
 
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
-
 
 def iou(a: Interval, b: Interval) -> float:
     """Temporal intersection-over-union of two intervals, in [0, 1].

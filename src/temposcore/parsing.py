@@ -1,4 +1,4 @@
-"""Per-task output grammars, parsing, format reward, and serialization.
+"""Per-task output grammars, the one-pass response reader, and serialization.
 
 The five tasks share a small tag grammar (documented bit-exactly in
 docs/formats.md):
@@ -161,9 +161,18 @@ class Reading(NamedTuple):
 def read(raw: str, task: TaskKind, strict: bool = False) -> Reading:
     """Read a raw model response once; never raises, and is linear in its length.
 
-    Returns the template parse (or the :class:`ParseError` it raised), the
-    lenient intervals of the scored block (None when it is absent; in strict
-    mode they can differ from the parse's) and, for GVQA, the answer text.
+    ``parsed`` is the template parse: a :class:`ParsedOutput` whose interval
+    count satisfies the task arity, or the :class:`ParseError` (with its
+    reason) the response failed with.
+
+    ``intervals`` is the lenient extraction for partial-credit scoring: None
+    when the scored block (answer, or glue for GVQA) is absent; otherwise
+    every well-formed pair inside it, in textual order, with inverted or
+    non-finite pairs skipped and arity ignored. In strict mode it can differ
+    from the parse's intervals.
+
+    ``answer_text`` is, for GVQA, the last answer block stripped, or None
+    when that block is absent or blank.
     """
     gvqa = task is TaskKind.GVQA
     answer = _last_block(raw, "<answer>", "</answer>")
@@ -184,24 +193,6 @@ def read(raw: str, task: TaskKind, strict: bool = False) -> Reading:
     return Reading(parsed, intervals, text or None)
 
 
-def parse(raw: str, task: TaskKind, strict: bool = False) -> ParsedOutput:
-    """Parse a raw model response against its task template.
-
-    Returns a :class:`ParsedOutput` whose interval count satisfies the task
-    arity; raises :class:`ParseError` with a reason otherwise. Never raises
-    anything else, regardless of input.
-    """
-    parsed = read(raw, task, strict).parsed
-    if isinstance(parsed, ParseError):
-        raise parsed
-    return parsed
-
-
-def format_reward(raw: str, task: TaskKind, strict: bool = False) -> int:
-    """Binary template reward: 1 iff the response parses cleanly."""
-    return 0 if isinstance(read(raw, task, strict).parsed, ParseError) else 1
-
-
 def _format_ts(value: float) -> str:
     return repr(float(value))
 
@@ -209,9 +200,9 @@ def _format_ts(value: float) -> str:
 def serialize(p: ParsedOutput, task: TaskKind) -> str:
     """Render a ParsedOutput in canonical template form.
 
-    The output always satisfies ``parse(serialize(p, t), t) == p`` provided
-    the GVQA answer text is tag-free and has no surrounding whitespace
-    (parsing strips it). Violations of the task arity are rejected.
+    The output always satisfies ``read(serialize(p, t), t).parsed == p``
+    provided the GVQA answer text is tag-free and has no surrounding
+    whitespace (parsing strips it). Violations of the task arity are rejected.
     """
     if task is TaskKind.GVQA:
         if p.answer_text is None or not p.answer_text:
@@ -230,18 +221,3 @@ def serialize(p: ParsedOutput, task: TaskKind) -> str:
     if task is TaskKind.GVQA:
         return f"<answer>{p.answer_text}</answer><glue>{body}</glue>"
     return f"<answer>{body}</answer>"
-
-
-def extract_intervals(raw: str, task: TaskKind) -> tuple[Interval, ...] | None:
-    """Lenient interval extraction for partial-credit scoring.
-
-    Returns None when the relevant tag block is absent (a hard parse
-    failure); otherwise returns every well-formed pair found inside it, in
-    textual order, skipping inverted or non-finite pairs. Arity is ignored.
-    """
-    return read(raw, task).intervals
-
-
-def extract_answer_text(raw: str) -> str | None:
-    """Lenient answer-text extraction: last answer block, stripped, or None."""
-    return read(raw, TaskKind.GVQA).answer_text

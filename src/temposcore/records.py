@@ -109,11 +109,6 @@ def iter_dataset(path: str | Path) -> Iterator[Sample]:
             yield sample_from_record(record, line_no)
 
 
-def load_dataset(path: str | Path) -> list[Sample]:
-    """Read a JSONL dataset; raises DatasetError naming the offending line."""
-    return list(iter_dataset(path))
-
-
 def sample_to_record(sample: Sample) -> dict:
     record: dict = {
         "id": sample.id,

@@ -263,17 +263,10 @@ def sequential_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> Matc
 def _tal_terms(
     preds: Sequence[Interval], gts: Sequence[Interval], cfg: TalConfig
 ) -> tuple[float, float, MatchResult]:
-    """The TAL reward with its terms: (num + match.f1, num, match)."""
+    """The many-to-many (TAL) reward, in (0, 2], with its terms: (num + match.f1, num, match)."""
     num = instance_number_reward(len(preds), len(gts), cfg.sigma)
     match = dp_match(preds, gts)
     return num + match.f1, num, match
-
-
-def reward_tal(preds: Sequence[Interval], gts: Sequence[Interval], cfg: TalConfig) -> float:
-    """Many-to-many reward: instance-number reward plus matching F1, in (0, 2]."""
-    if not gts:
-        raise ValueError("ground truth must contain at least one interval")
-    return _tal_terms(preds, gts, cfg)[0]
 
 
 _OPTION_SEPARATORS = ".):,;!? \t"

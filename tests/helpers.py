@@ -104,8 +104,9 @@ def dense_dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchR
 def choice_sample(logps: Params, rng: np.random.Generator) -> SampledResponse:
     """Reference sampler: one ``rng.choice`` per head draw.
 
-    This is the original form of :meth:`temposcore.ToyPolicy.sample`, kept
-    as an oracle for the group sampler, which builds each head's CDF once.
+    This is the original one-response sampler of the toy policy, kept as an
+    oracle for :func:`temposcore.grpo.sample_group`, which builds each
+    head's CDF once.
     """
     count = 1 + int(rng.choice(len(logps["count"]), p=np.exp(logps["count"])))
     slots = tuple(

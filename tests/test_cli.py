@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from temposcore import TaskKind, load_dataset, DatasetError
+from temposcore import TaskKind, DatasetError, iter_dataset
 from temposcore.cli import main, parse_inline_intervals
 from temposcore.records import sample_from_record, write_dataset
 
@@ -17,15 +17,15 @@ SCENARIOS = ROOT / "scenarios"
 
 class TestDatasetIO:
     def test_load_fixture_corpus(self):
-        samples = load_dataset(FIXTURES / "mixed_corpus.jsonl")
+        samples = list(iter_dataset(FIXTURES / "mixed_corpus.jsonl"))
         assert len(samples) == 100
         assert sum(1 for s in samples if s.task is TaskKind.GVQA) == 20
 
     def test_round_trip(self, tmp_path):
-        samples = load_dataset(FIXTURES / "mixed_corpus.jsonl")
+        samples = list(iter_dataset(FIXTURES / "mixed_corpus.jsonl"))
         out = tmp_path / "copy.jsonl"
         write_dataset(samples, out)
-        assert load_dataset(out) == samples
+        assert list(iter_dataset(out)) == samples
 
     @pytest.mark.parametrize(
         "record,fragment",
@@ -88,7 +88,7 @@ class TestDatasetIO:
         good = {"id": "a", "task": "TG", "gt_intervals": [[0, 1]], "prediction": "x"}
         path.write_text(json.dumps(good) + "\n" + "{not json}\n")
         with pytest.raises(DatasetError) as exc:
-            load_dataset(path)
+            list(iter_dataset(path))
         assert exc.value.line_no == 2
 
 
@@ -154,6 +154,11 @@ class TestRewardCommand:
         assert "loc=1.0000" in line
         assert "total=2.0000" in line
         assert "cls=-" in line
+
+    def test_bad_sigma_exits_2_before_reading_the_dataset(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"  # opening it would exit 1
+        assert main(["reward", "--dataset", str(missing), "--sigma", "-1"]) == 2
+        assert capsys.readouterr().err == "error: sigma must be positive, got -1.0\n"
 
     def test_tal_record_includes_match(self, capsys):
         record = {
@@ -331,6 +336,25 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "grpo, flags, message",
+        [
+            ('{"group_size": 4097}', [],
+             "bad grpo config: group_size 4097 exceeds the limit of 4096"),
+            ("{}", ["--group-size", "4097"], "group_size 4097 exceeds the limit of 4096"),
+        ],
+    )
+    def test_group_size_over_limit_exits_2(self, tmp_path, capsys, grpo, flags, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"grpo": ' + grpo + ', "prompts": [{"task": "TG", "duration": 10, '
+            '"grid_step": 5, "gt_intervals": [[0, 5]]}]}'
+        )
+        assert main(["simulate", "--scenario", str(path), "--steps", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_scenario_grpo_config_with_flag_override(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -418,7 +442,7 @@ class TestStreamedDatasetErrors:
     def test_blank_gt_answer_is_loaded_and_scored_without_an_answer_block(self, tmp_path,
                                                                           capsys):
         path = self._dataset(tmp_path, json.dumps(self.BLANK))
-        assert [s.gt_answer for s in load_dataset(path)][-1] == " \t"
+        assert [s.gt_answer for s in iter_dataset(path)][-1] == " \t"
         assert main(["eval", "--dataset", str(path)]) == 0
         assert "task=GVQA n_samples=2 " in capsys.readouterr().out
 

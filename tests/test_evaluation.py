@@ -14,13 +14,7 @@ from temposcore import (
     Sample,
     TaskKind,
     aggregate,
-    eval_dtg,
-    eval_gvqa,
-    eval_tal,
-    eval_tg,
-    eval_vhd,
     iter_dataset,
-    load_dataset,
     serialize,
     total_reward,
     write_dataset,
@@ -67,7 +61,7 @@ class TestSample:
 
 class TestEvalTg:
     def test_perfect_sample(self):
-        block = eval_tg([perfect(TaskKind.TG, [(3, 9)])])
+        block = aggregate([perfect(TaskKind.TG, [(3, 9)])]).blocks[TaskKind.TG]
         assert block.miou == 1.0
         assert all(v == 1.0 for v in block.recall_at.values())
         assert block.n_parse_failures == 0
@@ -76,30 +70,26 @@ class TestEvalTg:
         # IoUs 0.6 and 0.2: miou 0.4, R@0.3 = 0.5, R@0.5 = 0.5, R@0.7 = 0.0
         s1 = make(TaskKind.TG, [(0.0, 10.0)], "<answer>0.0 to 6.0</answer>", sid="a")
         s2 = make(TaskKind.TG, [(0.0, 10.0)], "<answer>0.0 to 2.0</answer>", sid="b")
-        block = eval_tg([s1, s2])
+        block = aggregate([s1, s2]).blocks[TaskKind.TG]
         assert block.miou == pytest.approx(0.4, abs=1e-12)
         assert block.recall_at[0.5] == 0.5
         assert block.recall_at[0.7] == 0.0
 
     def test_unparsable_counts_as_zero(self):
-        block = eval_tg([make(TaskKind.TG, [(0, 10)], GARBAGE)])
+        block = aggregate([make(TaskKind.TG, [(0, 10)], GARBAGE)]).blocks[TaskKind.TG]
         assert block.miou == 0.0
         assert block.n_parse_failures == 1
-
-    def test_wrong_task_rejected(self):
-        with pytest.raises(ValueError):
-            eval_tg([perfect(TaskKind.VHD, [(0, 1)])])
 
 
 class TestEvalDtg:
     def test_all_perfect(self):
-        block = eval_dtg([perfect(TaskKind.DTG, [(0, 5), (10, 15)])])
+        block = aggregate([perfect(TaskKind.DTG, [(0, 5), (10, 15)])]).blocks[TaskKind.DTG]
         assert block.miou == 1.0
 
     def test_per_pair_recall(self):
         # two events: one exact, one missed entirely
         raw = "<answer>0.0 to 5.0, 50.0 to 55.0</answer>"
-        block = eval_dtg([make(TaskKind.DTG, [(0, 5), (10, 15)], raw)])
+        block = aggregate([make(TaskKind.DTG, [(0, 5), (10, 15)], raw)]).blocks[TaskKind.DTG]
         assert block.miou == pytest.approx(0.5, abs=1e-12)
         assert block.recall_at[0.5] == 0.5
         assert block.per_sample_recall_at[0.5] == 1.0  # the one sample scores 0.5 >= 0.5
@@ -108,35 +98,37 @@ class TestEvalDtg:
     def test_count_mismatch_misses(self):
         # one prediction for three events: unmatched gts miss at every theta
         raw = "<answer>0.0 to 5.0</answer>"
-        block = eval_dtg([make(TaskKind.DTG, [(0, 5), (10, 15), (20, 25)], raw)])
+        sample = make(TaskKind.DTG, [(0, 5), (10, 15), (20, 25)], raw)
+        block = aggregate([sample]).blocks[TaskKind.DTG]
         assert block.recall_at[0.3] == pytest.approx(1 / 3, abs=1e-12)
         assert block.miou == pytest.approx(1 / 3, abs=1e-12)
 
 
 class TestEvalVhd:
     def test_identical_merged_sets(self):
-        assert eval_vhd([perfect(TaskKind.VHD, [(0, 4), (6, 9)])]).miou == 1.0
+        block = aggregate([perfect(TaskKind.VHD, [(0, 4), (6, 9)])]).blocks[TaskKind.VHD]
+        assert block.miou == 1.0
 
     def test_partial_merge_case(self):
         raw = "<answer>0.0 to 2.0, 4.0 to 6.0</answer>"
-        block = eval_vhd([make(TaskKind.VHD, [(1, 5)], raw)])
+        block = aggregate([make(TaskKind.VHD, [(1, 5)], raw)]).blocks[TaskKind.VHD]
         assert block.miou == pytest.approx(1 / 3, abs=1e-4)
         assert block.recall_at[0.3] == 1.0
         assert block.recall_at[0.5] == 0.0
 
     def test_empty_prediction(self):
-        block = eval_vhd([make(TaskKind.VHD, [(1, 5)], GARBAGE)])
+        block = aggregate([make(TaskKind.VHD, [(1, 5)], GARBAGE)]).blocks[TaskKind.VHD]
         assert block.miou == 0.0
 
 
 class TestEvalGvqa:
     def test_all_perfect(self):
-        block = eval_gvqa([perfect(TaskKind.GVQA, [(2, 6)], answer="B")])
+        block = aggregate([perfect(TaskKind.GVQA, [(2, 6)], answer="B")]).blocks[TaskKind.GVQA]
         assert block.accuracy == 1.0 and block.miou == 1.0
 
     def test_metrics_independent(self):
         raw = "<answer>B</answer><glue>50.0 to 60.0</glue>"
-        block = eval_gvqa([make(TaskKind.GVQA, [(0, 5)], raw, answer="B")])
+        block = aggregate([make(TaskKind.GVQA, [(0, 5)], raw, answer="B")]).blocks[TaskKind.GVQA]
         assert block.accuracy == 1.0
         assert block.miou == 0.0
 
@@ -149,7 +141,7 @@ class TestEvalGvqa:
             TaskKind.GVQA, [(0.0, 4.0)], "<answer>C</answer><glue>0.0 to 2.0</glue>",
             answer="A", sid="w",
         )
-        block = eval_gvqa([right, wrong])
+        block = aggregate([right, wrong]).blocks[TaskKind.GVQA]
         assert block.accuracy == 0.5
         assert block.miou == pytest.approx(0.5, abs=1e-12)
 
@@ -158,7 +150,7 @@ class TestEvalGvqa:
         # the last lenient glue block, "3 to 4</answer><glue>1 to 2", holds both
         raw = "<answer>A<glue>3 to 4</answer><glue>1 to 2</glue>"
         sample = make(TaskKind.GVQA, [(3, 4)], raw, answer="A")
-        block = eval_gvqa([sample], strict=True)
+        block = aggregate([sample], strict=True).blocks[TaskKind.GVQA]
         assert (block.n_parse_failures, block.miou, block.accuracy) == (0, 0.0, 0.0)
         reward = total_reward(raw, TaskKind.GVQA, sample.gt_intervals, "A", strict=True)
         assert (reward.format, reward.localization) == (1.0, 0.5)
@@ -166,14 +158,14 @@ class TestEvalGvqa:
 
 class TestEvalTal:
     def test_perfect(self):
-        block = eval_tal([perfect(TaskKind.TAL, [(0, 5), (10, 15)])])
+        block = aggregate([perfect(TaskKind.TAL, [(0, 5), (10, 15)])]).blocks[TaskKind.TAL]
         assert block.mf1 == 1.0
         assert all(v == 1.0 for v in block.f1_at.values())
 
     def test_worked_example(self):
         # matched pair IoU 0.25: TP only at theta 0.1; F1 = 2*(1/2)*(1/1)/1.5
         raw = "<answer>0.0 to 4.0, 6.0 to 10.0</answer>"
-        block = eval_tal([make(TaskKind.TAL, [(2, 8)], raw)])
+        block = aggregate([make(TaskKind.TAL, [(2, 8)], raw)]).blocks[TaskKind.TAL]
         assert block.f1_at[0.1] == pytest.approx(2 / 3, abs=1e-4)
         assert block.f1_at[0.3] == 0.0
         assert block.f1_at[0.5] == 0.0
@@ -181,7 +173,7 @@ class TestEvalTal:
         assert block.mf1 == pytest.approx(1 / 6, abs=1e-4)
 
     def test_empty_prediction(self):
-        block = eval_tal([make(TaskKind.TAL, [(2, 8)], GARBAGE)])
+        block = aggregate([make(TaskKind.TAL, [(2, 8)], GARBAGE)]).blocks[TaskKind.TAL]
         assert block.mf1 == 0.0
 
 
@@ -244,7 +236,7 @@ class TestAggregate:
             hi = max(lo, gt[1] + jitter)
             raw = f"<answer>{lo} to {hi}</answer>"
             samples.append(make(TaskKind.TG, [gt], raw, sid=f"s{i}"))
-        block = eval_tg(samples)
+        block = aggregate(samples).blocks[TaskKind.TG]
         values = [block.recall_at[t] for t in sorted(block.recall_at)]
         assert values == sorted(values, reverse=True)
 
@@ -297,43 +289,20 @@ def test_garbage_never_helps_on_imperfect_corpus():
 
 
 class TestStreaming:
-    """``aggregate`` and ``eval_*`` score any iterable in one pass and keep no sample."""
+    """``aggregate`` scores any iterable in one pass and keeps no sample."""
 
     FIXTURES = Path(__file__).parent / "fixtures"
     CORPORA = ("mixed_corpus.jsonl", "varied_corpus.jsonl")
-    EVALUATORS = {
-        TaskKind.TG: eval_tg,
-        TaskKind.DTG: eval_dtg,
-        TaskKind.VHD: eval_vhd,
-        TaskKind.GVQA: eval_gvqa,
-        TaskKind.TAL: eval_tal,
-    }
 
     @pytest.mark.parametrize("corpus", CORPORA)
     @pytest.mark.parametrize("strict, clamp", [(False, False), (True, False), (False, True),
                                                (True, True)])
     def test_generator_equals_list(self, corpus, strict, clamp):
         path = self.FIXTURES / corpus
-        listed = aggregate(load_dataset(path), strict=strict, clamp=clamp)
+        listed = aggregate(list(iter_dataset(path)), strict=strict, clamp=clamp)
         streamed = aggregate(iter_dataset(path), strict=strict, clamp=clamp)
         assert streamed == listed
         assert streamed.blocks[TaskKind.TG].n_samples > 0
-
-    @pytest.mark.parametrize("corpus", CORPORA)
-    @pytest.mark.parametrize("task", list(TaskKind))
-    def test_eval_functions_accept_generators(self, corpus, task):
-        samples = [s for s in load_dataset(self.FIXTURES / corpus) if s.task is task]
-        evaluate = self.EVALUATORS[task]
-        streamed = evaluate((s for s in samples), strict=True, clamp=True)
-        assert streamed == evaluate(samples, strict=True, clamp=True)
-        assert streamed.n_samples == len(samples) > 0
-        assert streamed == aggregate(samples, strict=True, clamp=True).blocks[task]
-
-    def test_wrong_task_raises_inside_the_loop(self):
-        samples = [perfect(TaskKind.TG, [(1, 2)], sid="a"),
-                   perfect(TaskKind.TAL, [(1, 2)], sid="b")]
-        with pytest.raises(ValueError, match="sample b has task TAL, expected TG"):
-            eval_tg(iter(samples))
 
     def test_no_sample_outlives_aggregate(self):
         refs = []
@@ -348,7 +317,7 @@ class TestStreaming:
         assert [r for r in refs if r() is not None] == []
 
     def test_streamed_peak_memory_is_a_fraction_of_loaded(self, tmp_path):
-        base = load_dataset(self.FIXTURES / "mixed_corpus.jsonl")
+        base = list(iter_dataset(self.FIXTURES / "mixed_corpus.jsonl"))
         path = tmp_path / "corpus.jsonl"
         write_dataset(
             (dataclasses.replace(s, id=f"{s.id}-{k}") for k in range(30) for s in base), path
@@ -364,7 +333,7 @@ class TestStreaming:
 
         aggregate(iter_dataset(path))  # warm caches so neither measurement pays for them
         streamed_peak, streamed = peak(iter_dataset)
-        loaded_peak, loaded = peak(load_dataset)
+        loaded_peak, loaded = peak(lambda p: list(iter_dataset(p)))
         assert streamed == loaded
         assert sum(b.n_samples for b in streamed.blocks.values()) == 3000
         assert streamed_peak * 5 < loaded_peak, (streamed_peak, loaded_peak)

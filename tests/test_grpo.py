@@ -23,6 +23,7 @@ from temposcore import (
 import temposcore.grpo as grpo
 from temposcore.grpo import (
     MAX_GRID_CANDIDATES,
+    MAX_GROUP_SIZE,
     MAX_SLOT_LOGITS,
     HeadTables,
     PromptSpec,
@@ -33,6 +34,7 @@ from temposcore.grpo import (
     sample_group,
     scenario_from_dict,
     standard_reward_fn,
+    summarize_policy,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -124,6 +126,11 @@ class TestGrpoConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             GrpoConfig(**kwargs)
 
+    def test_group_size_limit(self):
+        assert GrpoConfig(group_size=MAX_GROUP_SIZE).group_size == 4096
+        with pytest.raises(ValueError, match="^group_size 4097 exceeds the limit of 4096$"):
+            GrpoConfig(group_size=MAX_GROUP_SIZE + 1)
+
 
 # ---------------------------------------------------------------------------
 # Gradient check
@@ -169,7 +176,7 @@ def random_gradient_config(rng: np.random.Generator, cfg: GrpoConfig):
         for head in ref.params[0].values():
             head += rng.normal(0.0, 0.5, size=head.shape)
 
-        responses = [old.sample(0, rng) for _ in range(4)]
+        responses = sample_group(HeadTables.of(old.head_log_probs(0)), rng, 4)
         rewards = [float(rng.uniform(0, 2)) for _ in responses]
         if len(set(rewards)) == 1:
             continue
@@ -287,6 +294,28 @@ def test_zero_steps(tg_scenario):
     for ha, hb in zip(res.policy.params, fresh.params):
         for key in ha:
             assert np.array_equal(ha[key], hb[key])
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_head_tables_once_per_prompt_step(monkeypatch, steps):
+    """One log-softmax per prompt for the reference, then one per prompt-step.
+
+    The final summaries read the last step's tables, and equal a summary of
+    the returned policy's freshly computed tables.
+    """
+    scenario = load_scenario(SCENARIOS / "multitask_five.json")
+    calls = []
+    head_log_probs = ToyPolicy.head_log_probs
+
+    def counting(policy, idx):
+        calls.append(idx)
+        return head_log_probs(policy, idx)
+
+    monkeypatch.setattr(ToyPolicy, "head_log_probs", counting)
+    res = run_simulation(scenario, GrpoConfig(), steps=steps, seed=3)
+    assert len(calls) == len(scenario.prompts) * (steps + 1)
+    fresh = [HeadTables.of(res.policy.head_log_probs(i)) for i in range(len(scenario.prompts))]
+    assert res.summaries == summarize_policy(scenario.prompts, fresh)
 
 
 def test_large_beta_stays_closer_to_reference(tg_scenario):
@@ -586,9 +615,6 @@ def test_group_sampler_matches_per_draw_choice(
     expected = [choice_sample(logps, ref_rng) for _ in range(group_size)]
     assert got == expected
     assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-    # ToyPolicy.sample is the group sampler with n = 1
-    assert policy.sample(0, fast_rng) == choice_sample(logps, ref_rng)
-    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_group_sampler_rejects_nan_logits():
@@ -741,6 +767,17 @@ class TestScenarios:
                 {
                     "name": "x",
                     "grpo": {"group_size": 1},
+                    "prompts": [{"task": "TG", "duration": 10, "grid_step": 5,
+                                 "gt_intervals": [[0, 5]]}],
+                }
+            )
+
+    def test_grpo_group_size_over_limit_rejected(self):
+        message = "^bad grpo config: group_size 4097 exceeds the limit of 4096$"
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(
+                {
+                    "grpo": {"group_size": MAX_GROUP_SIZE + 1},
                     "prompts": [{"task": "TG", "duration": 10, "grid_step": 5,
                                  "gt_intervals": [[0, 5]]}],
                 }

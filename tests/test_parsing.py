@@ -13,136 +13,127 @@ from temposcore import (
     ParseError,
     ParseFailure,
     TaskKind,
-    extract_answer_text,
-    extract_intervals,
-    format_reward,
-    parse,
+    read,
     serialize,
     total_reward,
 )
-from temposcore.parsing import _NUMBER, _PAIR_RE, read
+from temposcore.parsing import _NUMBER, _PAIR_RE
 
 MULTI_TASKS = [TaskKind.DTG, TaskKind.VHD, TaskKind.TAL]
 
 
 class TestParse:
     def test_tg_template(self):
-        p = parse("<answer>3.2 to 7.8</answer>", TaskKind.TG)
+        p = read("<answer>3.2 to 7.8</answer>", TaskKind.TG).parsed
         assert p.intervals == (Interval(3.2, 7.8),)
         assert p.answer_text is None
 
     def test_gvqa_template(self):
-        p = parse("<answer>B</answer><glue>1.0 to 2.0, 4.0 to 5.5</glue>", TaskKind.GVQA)
+        p = read("<answer>B</answer><glue>1.0 to 2.0, 4.0 to 5.5</glue>", TaskKind.GVQA).parsed
         assert p.answer_text == "B"
         assert p.intervals == (Interval(1.0, 2.0), Interval(4.0, 5.5))
 
     def test_missing_tags(self):
-        with pytest.raises(ParseError) as exc:
-            parse("the answer is 3 to 7", TaskKind.TG)
-        assert exc.value.reason is ParseFailure.MISSING_TAGS
+        reason = read("the answer is 3 to 7", TaskKind.TG).parsed.reason
+        assert reason is ParseFailure.MISSING_TAGS
 
     def test_multi_interval_tasks(self):
         for task in MULTI_TASKS:
-            p = parse("<answer>1 to 2, 3 to 4, 5 to 6</answer>", task)
+            p = read("<answer>1 to 2, 3 to 4, 5 to 6</answer>", task).parsed
             assert len(p.intervals) == 3
 
     def test_textual_order_preserved(self):
-        p = parse("<answer>9 to 10, 1 to 2</answer>", TaskKind.DTG)
+        p = read("<answer>9 to 10, 1 to 2</answer>", TaskKind.DTG).parsed
         assert p.intervals == (Interval(9, 10), Interval(1, 2))
 
     def test_whitespace_and_case_tolerance(self):
-        p = parse("<answer>  3.2   TO 7.8 </answer>", TaskKind.TG)
+        p = read("<answer>  3.2   TO 7.8 </answer>", TaskKind.TG).parsed
         assert p.intervals == (Interval(3.2, 7.8),)
-        p = parse("<answer> 1 to 2 ,  3 to 4 </answer>", TaskKind.DTG)
+        p = read("<answer> 1 to 2 ,  3 to 4 </answer>", TaskKind.DTG).parsed
         assert len(p.intervals) == 2
 
     def test_number_notations(self):
-        p = parse("<answer>.5 to 5.</answer>", TaskKind.TG)
+        p = read("<answer>.5 to 5.</answer>", TaskKind.TG).parsed
         assert p.intervals == (Interval(0.5, 5.0),)
-        p = parse("<answer>1e1 to 1.5e2</answer>", TaskKind.TG)
+        p = read("<answer>1e1 to 1.5e2</answer>", TaskKind.TG).parsed
         assert p.intervals == (Interval(10.0, 150.0),)
 
     def test_surrounding_prose_ignored_by_default(self):
         raw = "thinking... <answer>3 to 7</answer> done"
-        assert parse(raw, TaskKind.TG).intervals == (Interval(3, 7),)
+        assert read(raw, TaskKind.TG).parsed.intervals == (Interval(3, 7),)
 
     def test_last_block_wins_when_repeated(self):
         raw = "<answer>1 to 2</answer> wait, actually <answer>5 to 9</answer>"
-        assert parse(raw, TaskKind.TG).intervals == (Interval(5, 9),)
+        assert read(raw, TaskKind.TG).parsed.intervals == (Interval(5, 9),)
 
     def test_strict_mode_rejects_extra_text(self):
         raw = "thinking... <answer>3 to 7</answer>"
-        with pytest.raises(ParseError) as exc:
-            parse(raw, TaskKind.TG, strict=True)
-        assert exc.value.reason is ParseFailure.MISSING_TAGS
-        assert parse("  <answer>3 to 7</answer>  ", TaskKind.TG, strict=True).intervals
+        reason = read(raw, TaskKind.TG, strict=True).parsed.reason
+        assert reason is ParseFailure.MISSING_TAGS
+        assert read("  <answer>3 to 7</answer>  ", TaskKind.TG, strict=True).parsed.intervals
 
     def test_strict_mode_gvqa(self):
         raw = "<answer>A</answer><glue>1 to 2</glue>"
-        assert parse(raw, TaskKind.GVQA, strict=True).answer_text == "A"
+        assert read(raw, TaskKind.GVQA, strict=True).parsed.answer_text == "A"
 
     def test_bad_timestamp(self):
-        with pytest.raises(ParseError) as exc:
-            parse("<answer>abc to def</answer>", TaskKind.TG)
-        assert exc.value.reason is ParseFailure.BAD_TIMESTAMP
+        reason = read("<answer>abc to def</answer>", TaskKind.TG).parsed.reason
+        assert reason is ParseFailure.BAD_TIMESTAMP
 
     def test_timestamp_overflow(self):
-        with pytest.raises(ParseError) as exc:
-            parse("<answer>1 to 1e999</answer>", TaskKind.TG)
-        assert exc.value.reason is ParseFailure.BAD_TIMESTAMP
+        reason = read("<answer>1 to 1e999</answer>", TaskKind.TG).parsed.reason
+        assert reason is ParseFailure.BAD_TIMESTAMP
 
     def test_inverted_interval(self):
-        with pytest.raises(ParseError) as exc:
-            parse("<answer>7.8 to 3.2</answer>", TaskKind.TG)
-        assert exc.value.reason is ParseFailure.INVALID_INTERVAL
+        reason = read("<answer>7.8 to 3.2</answer>", TaskKind.TG).parsed.reason
+        assert reason is ParseFailure.INVALID_INTERVAL
 
     def test_tg_arity(self):
-        with pytest.raises(ParseError) as exc:
-            parse("<answer>1 to 2, 3 to 4</answer>", TaskKind.TG)
-        assert exc.value.reason is ParseFailure.WRONG_ARITY
+        reason = read("<answer>1 to 2, 3 to 4</answer>", TaskKind.TG).parsed.reason
+        assert reason is ParseFailure.WRONG_ARITY
 
     def test_empty_answer_block(self):
         for task in [TaskKind.TG, *MULTI_TASKS]:
-            with pytest.raises(ParseError) as exc:
-                parse("<answer></answer>", task)
-            assert exc.value.reason is ParseFailure.WRONG_ARITY
+            assert read("<answer></answer>", task).parsed.reason is ParseFailure.WRONG_ARITY
 
     def test_gvqa_empty_glue_tolerated(self):
-        p = parse("<answer>C</answer><glue></glue>", TaskKind.GVQA)
+        p = read("<answer>C</answer><glue></glue>", TaskKind.GVQA).parsed
         assert p.answer_text == "C" and p.intervals == ()
 
     def test_gvqa_missing_glue_fails(self):
-        with pytest.raises(ParseError) as exc:
-            parse("<answer>C</answer>", TaskKind.GVQA)
-        assert exc.value.reason is ParseFailure.MISSING_TAGS
+        reason = read("<answer>C</answer>", TaskKind.GVQA).parsed.reason
+        assert reason is ParseFailure.MISSING_TAGS
 
     def test_gvqa_empty_answer_fails(self):
-        with pytest.raises(ParseError) as exc:
-            parse("<answer>  </answer><glue>1 to 2</glue>", TaskKind.GVQA)
-        assert exc.value.reason is ParseFailure.WRONG_ARITY
+        reason = read("<answer>  </answer><glue>1 to 2</glue>", TaskKind.GVQA).parsed.reason
+        assert reason is ParseFailure.WRONG_ARITY
 
     def test_trailing_comma_rejected(self):
-        with pytest.raises(ParseError) as exc:
-            parse("<answer>1 to 2,</answer>", TaskKind.DTG)
-        assert exc.value.reason is ParseFailure.BAD_TIMESTAMP
+        reason = read("<answer>1 to 2,</answer>", TaskKind.DTG).parsed.reason
+        assert reason is ParseFailure.BAD_TIMESTAMP
 
 
 class TestFormatReward:
+    """The format term of ``total_reward``: 1 iff the template parse succeeds."""
+
+    GT = [Interval(0, 1)]
+
     def test_valid_tg(self):
-        assert format_reward("<answer>3.2 to 7.8</answer>", TaskKind.TG) == 1
+        assert total_reward("<answer>3.2 to 7.8</answer>", TaskKind.TG, self.GT).format == 1.0
 
     def test_inverted_interval_scores_zero(self):
-        assert format_reward("<answer>7.8 to 3.2</answer>", TaskKind.TG) == 0
+        assert total_reward("<answer>7.8 to 3.2</answer>", TaskKind.TG, self.GT).format == 0.0
 
     def test_tg_wrong_arity_scores_zero(self):
-        assert format_reward("<answer>1 to 2, 3 to 4</answer>", TaskKind.TG) == 0
+        raw = "<answer>1 to 2, 3 to 4</answer>"
+        assert total_reward(raw, TaskKind.TG, self.GT).format == 0.0
 
     def test_vhd_requires_at_least_one_interval(self):
-        assert format_reward("<answer></answer>", TaskKind.VHD) == 0
-        assert format_reward("<answer>1 to 2</answer>", TaskKind.VHD) == 1
+        assert total_reward("<answer></answer>", TaskKind.VHD, self.GT).format == 0.0
+        assert total_reward("<answer>1 to 2</answer>", TaskKind.VHD, self.GT).format == 1.0
 
     def test_binary_valued(self):
-        assert format_reward("junk", TaskKind.TAL) in (0, 1)
+        assert total_reward("junk", TaskKind.TAL, self.GT).format in (0.0, 1.0)
 
 
 class TestSerialize:
@@ -176,27 +167,27 @@ class TestSerialize:
 
 class TestLenientExtraction:
     def test_arity_ignored(self):
-        got = extract_intervals("<answer>1 to 2, 3 to 4</answer>", TaskKind.TG)
+        got = read("<answer>1 to 2, 3 to 4</answer>", TaskKind.TG).intervals
         assert got == (Interval(1, 2), Interval(3, 4))
 
     def test_invalid_pairs_skipped(self):
-        got = extract_intervals("<answer>9 to 2, 3 to 4</answer>", TaskKind.DTG)
+        got = read("<answer>9 to 2, 3 to 4</answer>", TaskKind.DTG).intervals
         assert got == (Interval(3, 4),)
 
     def test_missing_block_is_none(self):
-        assert extract_intervals("no tags here", TaskKind.TG) is None
+        assert read("no tags here", TaskKind.TG).intervals is None
 
     def test_block_present_but_empty(self):
-        assert extract_intervals("<answer>whatever</answer>", TaskKind.TG) == ()
+        assert read("<answer>whatever</answer>", TaskKind.TG).intervals == ()
 
     def test_gvqa_reads_glue(self):
-        raw = "<answer>B</answer><glue>1 to 2</glue>"
-        assert extract_intervals(raw, TaskKind.GVQA) == (Interval(1, 2),)
-        assert extract_answer_text(raw) == "B"
+        reading = read("<answer>B</answer><glue>1 to 2</glue>", TaskKind.GVQA)
+        assert reading.intervals == (Interval(1, 2),)
+        assert reading.answer_text == "B"
 
     def test_answer_text_missing(self):
-        assert extract_answer_text("nothing") is None
-        assert extract_answer_text("<answer>  </answer>") is None
+        assert read("nothing", TaskKind.GVQA).answer_text is None
+        assert read("<answer>  </answer>", TaskKind.GVQA).answer_text is None
 
     def test_scan_linear_on_digit_run(self):
         # a quadratic scan would take ~256x as long on 16x the digits
@@ -205,7 +196,7 @@ class TestLenientExtraction:
             times = []
             for _ in range(3):
                 start = time.perf_counter()
-                assert extract_intervals(raw, TaskKind.TAL) == ()
+                assert read(raw, TaskKind.TAL).intervals == ()
                 times.append(time.perf_counter() - start)
             return min(times)
 
@@ -226,7 +217,7 @@ def _outcome(fn, *args):
     [
         ("<answer>", lambda raw: total_reward(raw, TaskKind.GVQA, [Interval(1, 2)], "A")),
         ("<glue>", lambda raw: total_reward(raw, TaskKind.GVQA, [Interval(1, 2)], "A")),
-        ("</answer><glue>", lambda raw: _outcome(parse, "<answer>" + raw, TaskKind.GVQA, True)),
+        ("</answer><glue>", lambda raw: read("<answer>" + raw, TaskKind.GVQA, True)),
     ],
     ids=["unclosed-answer", "unclosed-glue", "strict-gvqa-splits"],
 )
@@ -289,18 +280,15 @@ def outputs_for(task: TaskKind):
 def test_round_trip(task, data):
     p = data.draw(outputs_for(task))
     raw = serialize(p, task)
-    assert parse(raw, task) == p
-    assert parse(raw, task, strict=True) == p
-    assert format_reward(raw, task) == 1
+    assert read(raw, task).parsed == p
+    assert read(raw, task, strict=True).parsed == p
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(max_size=200), st.sampled_from(list(TaskKind)))
 def test_parse_never_crashes_on_arbitrary_text(raw, task):
-    try:
-        parse(raw, task)
-    except ParseError:
-        pass
+    for strict in (False, True):
+        assert isinstance(read(raw, task, strict).parsed, (ParsedOutput, ParseError))
 
 
 def test_parse_never_crashes_on_random_bytes():
@@ -308,10 +296,7 @@ def test_parse_never_crashes_on_random_bytes():
     for _ in range(2000):
         raw = bytes(rng.randrange(256) for _ in range(rng.randrange(120))).decode("latin-1")
         for task in TaskKind:
-            try:
-                parse(raw, task)
-            except ParseError:
-                pass
+            assert isinstance(read(raw, task).parsed, (ParsedOutput, ParseError))
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +327,11 @@ def test_read_matches_regex_readers(raw):
     for task in TaskKind:
         want_intervals = regex_extract_intervals(raw, task)
         want_text = regex_extract_answer_text(raw) if task is TaskKind.GVQA else None
-        assert extract_intervals(raw, task) == want_intervals
         for strict in (False, True):
-            want = _outcome(regex_parse, raw, task, strict)
             reading = read(raw, task, strict)
-            assert _outcome(lambda: reading.parsed) == want
-            assert _outcome(parse, raw, task, strict) == want
-            assert format_reward(raw, task, strict) == isinstance(want, ParsedOutput)
+            assert _outcome(lambda: reading.parsed) == _outcome(regex_parse, raw, task, strict)
             assert reading.intervals == want_intervals
             assert reading.answer_text == want_text
-    assert extract_answer_text(raw) == regex_extract_answer_text(raw)
 
 
 def test_regex_whitespace_is_str_isspace():

@@ -12,12 +12,12 @@ from temposcore import (
     classification_reward,
     dp_match,
     instance_number_reward,
-    reward_tal,
     reward_type1,
     reward_type2,
     sequential_match,
     total_reward,
 )
+from temposcore.rewards import _tal_terms
 
 
 def ivs(pairs):
@@ -243,19 +243,19 @@ class TestBruteForceMatch:
 class TestRewardTal:
     def test_perfect_prediction(self):
         gts = ivs([(0, 5), (10, 15), (20, 30)])
-        assert reward_tal(gts, gts, TalConfig(1.0)) == pytest.approx(2.0, abs=1e-9)
+        assert _tal_terms(gts, gts, TalConfig(1.0))[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_worked_example(self):
-        got = reward_tal(ivs([(0, 4), (6, 10)]), ivs([(2, 8)]), TalConfig(1.0))
+        got = _tal_terms(ivs([(0, 4), (6, 10)]), ivs([(2, 8)]), TalConfig(1.0))[0]
         assert got == pytest.approx(0.5346, abs=1e-4)
 
     def test_empty_preds(self):
-        got = reward_tal([], ivs([(2, 8)]), TalConfig(1.0))
+        got = _tal_terms([], ivs([(2, 8)]), TalConfig(1.0))[0]
         assert got == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     @given(st.lists(interval_strategy, max_size=6), interval_lists, st.floats(0.2, 5.0))
     def test_bounded(self, preds, gts, sigma):
-        assert 0.0 < reward_tal(preds, gts, TalConfig(sigma)) <= 2.0
+        assert 0.0 < _tal_terms(preds, gts, TalConfig(sigma))[0] <= 2.0
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):

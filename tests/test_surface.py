@@ -1,0 +1,64 @@
+"""The public surface: the README tour runs, and every export has a user.
+
+A user is the package itself, ``scripts/`` or the README tour; tests and the
+benchmark do not count, so a name only they call is not exported.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import pytest
+
+import temposcore
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "temposcore"
+
+
+def readme_tour() -> str:
+    """The python block under the README's "Library quick tour" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quick tour", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_tour_runs_and_states_true_values(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    exec(compile(readme_tour(), "README.md", "exec"), namespace)
+    assert namespace["breakdown"].total == pytest.approx(1 + math.exp(-1) + 1 / 6)
+    assert namespace["match"].siou == 0.25
+    assert namespace["result"].curve[-1].mean_reward == 2.0
+
+
+def _uses(tree: ast.AST, names: set[str]) -> set[str]:
+    """The names read in ``tree``, not counting reads inside the name's own definition."""
+    used: set[str] = set()
+
+    def visit(node: ast.AST, inside: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = None
+        if name in names and name not in inside:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_export_has_a_user_outside_tests():
+    exported = set(temposcore.__all__)
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted((ROOT / "scripts").glob("*.py"))
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sources]
+    trees.append(ast.parse(readme_tour()))
+    used = set().union(*(_uses(tree, exported) for tree in trees))
+    assert sorted(exported - used) == []
