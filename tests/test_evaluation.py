@@ -304,6 +304,18 @@ class TestStreaming:
         assert streamed == listed
         assert streamed.blocks[TaskKind.TG].n_samples > 0
 
+    @pytest.mark.parametrize("corpus", CORPORA)
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_eval_functions_accept_generators(self, corpus, task):
+        # a one-task corpus, streamed, scores that task's block as the whole corpus does
+        everything = list(iter_dataset(self.FIXTURES / corpus))
+        samples = [s for s in everything if s.task is task]
+        streamed = aggregate((s for s in samples), strict=True, clamp=True)
+        assert streamed == aggregate(samples, strict=True, clamp=True)
+        assert streamed.blocks[task].n_samples == len(samples) > 0
+        assert all(b.n_samples == 0 for t, b in streamed.blocks.items() if t is not task)
+        assert streamed.blocks[task] == aggregate(everything, strict=True, clamp=True).blocks[task]
+
     def test_no_sample_outlives_aggregate(self):
         refs = []
 
