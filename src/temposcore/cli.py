@@ -162,24 +162,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenario, grpo_cfg, steps=args.steps, seed=args.seed, reward_fn=reward_fn
     )
     lines = [f"scenario={result.name} steps={args.steps} seed={args.seed}"]
-    for pt in result.curve:
+    for t, stats in enumerate(result.curve):
         lines.append(
-            f"step={pt.step} mean_reward={pt.mean_reward:.4f} "
-            f"kl={pt.kl:.4f} clip_fraction={pt.clip_fraction:.4f}"
+            f"step={t} mean_reward={stats.mean_reward:.4f} "
+            f"kl={stats.kl:.4f} clip_fraction={stats.clip_fraction:.4f}"
         )
-    for s in result.summaries:
+    # the modal choice of each head of the final policy
+    for i, (prompt, (_, probs)) in enumerate(zip(scenario.prompts, result.tables)):
+        count_probs = probs["count"]
+        modal = int(count_probs.argmax())
         parts = [
-            f"final prompt={s.prompt_index}",
-            f"task={s.task.value}",
-            f"modal_count={s.modal_count}",
-            f"count_p={s.count_probability:.4f}",
+            f"final prompt={i}",
+            f"task={prompt.task.value}",
+            f"modal_count={modal + 1}",
+            f"count_p={count_probs[modal]:.4f}",
         ]
-        for k, slot in enumerate(s.top_slots):
-            parts.append(f"slot{k}={slot.interval.start:g}-{slot.interval.end:g}")
-            parts.append(f"slot{k}_p={slot.probability:.4f}")
-        if s.top_answer is not None:
-            parts.append(f"answer={s.top_answer}")
-            parts.append(f"answer_p={s.answer_probability:.4f}")
+        for k, slot_probs in enumerate(probs["slots"][:modal + 1]):
+            best = int(slot_probs.argmax())
+            iv = prompt.grid[best]
+            parts.append(f"slot{k}={iv.start:g}-{iv.end:g}")
+            parts.append(f"slot{k}_p={slot_probs[best]:.4f}")
+        if "answer" in probs:
+            answer_probs = probs["answer"]
+            j = int(answer_probs.argmax())
+            parts.append(f"answer={prompt.options[j]}")
+            parts.append(f"answer_p={answer_probs[j]:.4f}")
         lines.append(" ".join(parts))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -21,6 +21,7 @@ failed regardless of whether anything was still extractable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -31,6 +32,9 @@ from .rewards import _prf, classification_reward, dp_match, reward_type1
 RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
 TAL_THRESHOLDS = (0.1, 0.3, 0.5, 0.7)
 TAL_PROTOCOL = "dp-tp-f1-v1"
+
+# matches exactly what str.isspace accepts
+_WHITESPACE_RE = re.compile(r"\s")
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,9 @@ class Sample:
     gt_answer: str | None = None
 
     def __post_init__(self) -> None:
+        # one record per output line: an id must not break or split it
+        if _WHITESPACE_RE.search(self.id):
+            raise ValueError(f"id {self.id!r} must not contain whitespace")
         if not self.gt_intervals:
             raise ValueError(f"sample {self.id}: gt_intervals must be non-empty")
         if (self.gt_answer is not None) != (self.task is TaskKind.GVQA):

@@ -116,7 +116,6 @@ class PromptSpec:
     max_instances: int = 1
     gt_answer: str | None = None
     options: tuple[str, ...] = ()
-    duration: float | None = None
 
     def __post_init__(self) -> None:
         if not self.gt_intervals:
@@ -136,6 +135,14 @@ class PromptSpec:
         if self.task is TaskKind.GVQA:
             if not self.options:
                 raise ScenarioError("GVQA prompts need answer options")
+            for option in self.options:
+                # what serialize needs of an answer text
+                if (not isinstance(option, str) or not option or option != option.strip()
+                        or "<" in option or ">" in option):
+                    raise ScenarioError(
+                        f"GVQA option {option!r} must be a non-empty, tag-free string "
+                        "without surrounding whitespace"
+                    )
             if self.gt_answer not in self.options:
                 raise ScenarioError("GVQA gt_answer must be one of the options")
         elif self.options or self.gt_answer is not None:
@@ -488,70 +495,12 @@ def grpo_step(
     return new, StepStats(mean_reward=mean_reward, kl=kl_after, clip_fraction=clip_fraction)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    step: int
-    mean_reward: float
-    kl: float
-    clip_fraction: float
-
-
-@dataclass(frozen=True)
-class SlotSummary:
-    interval: Interval
-    probability: float
-
-
-@dataclass(frozen=True)
-class PromptSummary:
-    prompt_index: int
-    task: TaskKind
-    modal_count: int
-    count_probability: float
-    top_slots: tuple[SlotSummary, ...]
-    top_answer: str | None = None
-    answer_probability: float | None = None
-
-
 @dataclass
 class SimulationResult:
     name: str
-    curve: list[CurvePoint]
+    curve: list[StepStats]
     policy: ToyPolicy
-    summaries: tuple[PromptSummary, ...]
-
-
-def summarize_policy(
-    prompts: Sequence[PromptSpec], tables: Sequence[HeadTables]
-) -> tuple[PromptSummary, ...]:
-    """The modal choices of a policy, read from its head tables (one per prompt)."""
-    out = []
-    for i, (prompt, (_, probs)) in enumerate(zip(prompts, tables)):
-        count_probs = probs["count"]
-        modal = int(np.argmax(count_probs))
-        slots = []
-        for s in range(modal + 1):
-            slot_probs = probs["slots"][s]
-            best = int(np.argmax(slot_probs))
-            slots.append(SlotSummary(prompt.grid[best], float(slot_probs[best])))
-        answer = None
-        answer_prob = None
-        if "answer" in probs:
-            ans_probs = probs["answer"]
-            j = int(np.argmax(ans_probs))
-            answer, answer_prob = prompt.options[j], float(ans_probs[j])
-        out.append(
-            PromptSummary(
-                prompt_index=i,
-                task=prompt.task,
-                modal_count=modal + 1,
-                count_probability=float(count_probs[modal]),
-                top_slots=tuple(slots),
-                top_answer=answer,
-                answer_probability=answer_prob,
-            )
-        )
-    return tuple(out)
+    tables: list[HeadTables]  # the head tables of ``policy``, one per prompt
 
 
 def standard_reward_fn(sigma: float = 1.0, tal_normalize: bool = False) -> RewardFn:
@@ -580,21 +529,18 @@ def run_simulation(
     own RNG stream from (seed, step), so curves are identical bit for bit
     across runs with the same inputs. One cache carries the head tables from
     step to step, the reference's tables and every reward of the run; the
-    final summaries read the last step's tables.
+    result hands on the last step's tables.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     fn = reward_fn if reward_fn is not None else standard_reward_fn()
     policy = ref = ToyPolicy(scenario.prompts)  # grpo_step never mutates its input
     cache = _RunCache(ref)
-    curve: list[CurvePoint] = []
+    curve: list[StepStats] = []
     for t in range(steps):
         policy, stats = grpo_step(policy, fn, cfg, rng_seed=(seed, t), ref=ref, cache=cache)
-        curve.append(CurvePoint(t, stats.mean_reward, stats.kl, stats.clip_fraction))
-    return SimulationResult(
-        name=scenario.name, curve=curve, policy=policy,
-        summaries=summarize_policy(policy.prompts, cache.tables),
-    )
+        curve.append(stats)
+    return SimulationResult(scenario.name, curve, policy, cache.tables)
 
 
 # ---------------------------------------------------------------------------
@@ -640,72 +586,66 @@ _GRPO_KEYS = {"group_size", "clip_eps", "kl_beta", "learning_rate", "std_floor"}
 _DEFAULT_MAX_INSTANCES = 6
 
 
-def _scenario_number(d: dict, key: str, position: int) -> float:
+def _scenario_number(d: dict, key: str) -> float:
     value = _finite_float(d[key])
     if value is None:
-        raise ScenarioError(f"prompt {position}: {key} must be a finite number")
+        raise ScenarioError(f"{key} must be a finite number")
     return value
 
 
-def _scenario_intervals(d: dict, key: str, position: int) -> tuple[Interval, ...]:
+def _scenario_intervals(d: dict, key: str) -> tuple[Interval, ...]:
     pairs = d[key]
     if not isinstance(pairs, list):
-        raise ScenarioError(f"prompt {position}: {key} must be a list of [start, end] pairs")
+        raise ScenarioError(f"{key} must be a list of [start, end] pairs")
     out = []
     for pair in pairs:
         try:
             out.append(_interval_from_pair(pair))
         except ValueError as exc:
-            raise ScenarioError(f"prompt {position}: bad {key} {pair!r}: {exc}") from None
+            raise ScenarioError(f"bad {key} {pair!r}: {exc}") from None
     return tuple(out)
 
 
-def _prompt_from_dict(d: dict, position: int) -> PromptSpec:
+def _prompt_from_dict(d: dict) -> PromptSpec:
     if not isinstance(d, dict):
-        raise ScenarioError(f"prompt {position}: must be an object")
+        raise ScenarioError("must be an object")
     for key in d:
         if key not in _PROMPT_KEYS:
-            raise ScenarioError(f"prompt {position}: unknown scenario key '{key}'")
+            raise ScenarioError(f"unknown scenario key '{key}'")
     try:
         task = TaskKind(d.get("task"))
     except ValueError:
-        raise ScenarioError(f"prompt {position}: unknown task {d.get('task')!r}") from None
+        raise ScenarioError(f"unknown task {d.get('task')!r}") from None
     if "gt_intervals" not in d:
-        raise ScenarioError(f"prompt {position}: missing gt_intervals")
-    gts = _scenario_intervals(d, "gt_intervals", position)
+        raise ScenarioError("missing gt_intervals")
+    gts = _scenario_intervals(d, "gt_intervals")
 
-    duration = _scenario_number(d, "duration", position) if "duration" in d else None
+    duration = _scenario_number(d, "duration") if "duration" in d else None
     if "grid" in d and "grid_step" in d:
-        raise ScenarioError(f"prompt {position}: give either grid or grid_step, not both")
+        raise ScenarioError("give either grid or grid_step, not both")
     if "grid" in d:
-        grid = _scenario_intervals(d, "grid", position)
+        grid = _scenario_intervals(d, "grid")
     elif "grid_step" in d:
         if duration is None:
-            raise ScenarioError(f"prompt {position}: grid_step needs a duration")
-        step = _scenario_number(d, "grid_step", position)
-        try:
-            grid = uniform_grid(duration, step)
-        except ScenarioError as exc:
-            raise ScenarioError(f"prompt {position}: {exc}") from None
+            raise ScenarioError("grid_step needs a duration")
+        grid = uniform_grid(duration, _scenario_number(d, "grid_step"))
     else:
-        raise ScenarioError(f"prompt {position}: missing grid or grid_step")
+        raise ScenarioError("missing grid or grid_step")
 
     max_instances = d.get("max_instances", 1 if task is TaskKind.TG else _DEFAULT_MAX_INSTANCES)
     if isinstance(max_instances, bool) or not isinstance(max_instances, int):
-        raise ScenarioError(f"prompt {position}: max_instances must be an integer")
-    options = tuple(d.get("options", ()))
-    try:
-        return PromptSpec(
-            task=task,
-            gt_intervals=gts,
-            grid=grid,
-            max_instances=max_instances,
-            gt_answer=d.get("gt_answer"),
-            options=options,
-            duration=duration,
-        )
-    except ScenarioError as exc:
-        raise ScenarioError(f"prompt {position}: {exc}") from None
+        raise ScenarioError("max_instances must be an integer")
+    options = d.get("options", [])
+    if not isinstance(options, list):
+        raise ScenarioError("options must be a list")
+    return PromptSpec(
+        task=task,
+        gt_intervals=gts,
+        grid=grid,
+        max_instances=max_instances,
+        gt_answer=d.get("gt_answer"),
+        options=tuple(options),
+    )
 
 
 def _grpo_from_dict(d: dict) -> GrpoConfig:
@@ -733,11 +673,13 @@ def scenario_from_dict(d: dict) -> Scenario:
     if not isinstance(name, str):
         raise ScenarioError("scenario name must be a string")
     grpo = _grpo_from_dict(d["grpo"]) if "grpo" in d else None
-    return Scenario(
-        name=name,
-        prompts=tuple(_prompt_from_dict(p, i) for i, p in enumerate(prompts)),
-        grpo=grpo,
-    )
+    specs = []
+    for i, p in enumerate(prompts):
+        try:
+            specs.append(_prompt_from_dict(p))
+        except ScenarioError as exc:
+            raise ScenarioError(f"prompt {i}: {exc}") from None
+    return Scenario(name=name, prompts=tuple(specs), grpo=grpo)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -280,6 +280,22 @@ class TestSimulateCommand:
              "55000000000000 slot logits (max_instances x candidates) exceed"),
             ({"duration": True}, "duration must be a finite number"),
             ({"grid_step": float("nan")}, "grid_step must be a finite number"),
+            ({"task": "GVQA", "gt_answer": "A", "options": 5},
+             "options must be a list"),
+            ({"task": "GVQA", "gt_answer": "A", "options": "AB"},
+             "options must be a list"),
+            ({"task": "GVQA", "gt_answer": "A", "options": ["A", 1]},
+             "GVQA option 1 must be a non-empty"),
+            ({"task": "GVQA", "gt_answer": "A", "options": [1, 2]},
+             "GVQA option 1 must be a non-empty"),
+            ({"task": "GVQA", "gt_answer": "A", "options": [["A"]]},
+             "GVQA option ['A'] must be a non-empty"),
+            ({"task": "GVQA", "gt_answer": "A", "options": ["A", ""]},
+             "GVQA option '' must be a non-empty"),
+            ({"task": "GVQA", "gt_answer": "A", "options": ["A", " B"]},
+             "GVQA option ' B' must be a non-empty"),
+            ({"task": "GVQA", "gt_answer": "A", "options": ["A", "<b>"]},
+             "GVQA option '<b>' must be a non-empty"),
         ],
     )
     def test_oversized_or_mistyped_scenario_exits_2(self, tmp_path, capsys, prompt, fragment):
@@ -309,6 +325,25 @@ class TestSimulateCommand:
         path.write_text(json.dumps({"prompts": [{"task": "TG", **pairs}]}))
         assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
         assert f"error: prompt 0: {fragment}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ({"gt_intervals": [[0, 5]], "grid": ["03"]}, "bad grid '03': not a [start, end] pair"),
+            ({"gt_intervals": [[0, 5]], "duration": 5, "grid_step": 10},
+             "grid_step is larger than the duration"),
+            ({"gt_intervals": [[0, 5]], "duration": 10, "grid_step": 5, "max_instances": 2},
+             "TG prompts emit exactly one interval"),
+        ],
+    )
+    def test_bad_prompt_is_named_once(self, tmp_path, capsys, second, message):
+        path = tmp_path / "bad.json"
+        first = {"task": "TG", "duration": 10, "grid_step": 5, "gt_intervals": [[0, 5]]}
+        path.write_text(json.dumps({"prompts": [first, {"task": "TG", **second}]}))
+        assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: prompt 1: {message}\n"
+        assert err.count("prompt ") == 1
 
     @pytest.mark.parametrize(
         "grpo, flags, message",
@@ -363,7 +398,7 @@ class TestSimulateCommand:
             "prompts": [{"task": "TG", "duration": 10, "grid_step": 5,
                          "gt_intervals": [[0, 5]]}],
         }))
-        # bundled lr 0.0: the policy never moves, so the summary stays uniform
+        # bundled lr 0.0: the policy never moves, so the final heads stay uniform
         assert main(["simulate", "--scenario", str(path), "--steps", "3", "--seed", "1"]) == 0
         frozen = capsys.readouterr().out
         assert "slot0_p=0.3333" in frozen  # 3 candidates, untouched uniform head
@@ -400,6 +435,8 @@ class TestStreamedDatasetErrors:
              "line 5: bad gt interval [9, 1]: interval end < start"),
             ('{"id": "z", "task": "TG", "gt_intervals": [[0, 1]]}',
              "line 5: missing fields: prediction"),
+            ('{"id": "a b\\nc", "task": "TG", "gt_intervals": [[0, 1]], "prediction": "x"}',
+             "line 5: id 'a b\\nc' must not contain whitespace\n"),
         ],
     )
     @pytest.mark.parametrize("to_file", [False, True])

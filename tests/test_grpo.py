@@ -34,7 +34,6 @@ from temposcore.grpo import (
     sample_group,
     scenario_from_dict,
     standard_reward_fn,
-    summarize_policy,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -300,8 +299,8 @@ def test_zero_steps(tg_scenario):
 def test_head_tables_once_per_prompt_step(monkeypatch, steps):
     """One log-softmax per prompt for the reference, then one per prompt-step.
 
-    The final summaries read the last step's tables, and equal a summary of
-    the returned policy's freshly computed tables.
+    The result hands on the last step's tables, which equal the returned
+    policy's freshly computed tables byte for byte.
     """
     scenario = load_scenario(SCENARIOS / "multitask_five.json")
     calls = []
@@ -315,7 +314,12 @@ def test_head_tables_once_per_prompt_step(monkeypatch, steps):
     res = run_simulation(scenario, GrpoConfig(), steps=steps, seed=3)
     assert len(calls) == len(scenario.prompts) * (steps + 1)
     fresh = [HeadTables.of(res.policy.head_log_probs(i)) for i in range(len(scenario.prompts))]
-    assert res.summaries == summarize_policy(scenario.prompts, fresh)
+    assert len(res.tables) == len(fresh)
+    for got, expected in zip(res.tables, fresh):
+        for field in ("logps", "probs"):
+            a, b = getattr(got, field), getattr(expected, field)
+            assert a.keys() == b.keys()
+            assert all(a[k].tobytes() == b[k].tobytes() for k in b)
 
 
 def test_large_beta_stays_closer_to_reference(tg_scenario):
