@@ -34,7 +34,6 @@ from .records import (
 from .rewards import (
     TalConfig,
     _dp_table,
-    _sorted_chrono,
     dp_match,
     sequential_match,
     total_reward,
@@ -88,8 +87,8 @@ def parse_inline_intervals(text: str) -> tuple[Interval, ...]:
 
 
 def _match_table(preds: tuple[Interval, ...], gts: tuple[Interval, ...], compare: bool) -> str:
-    sp = _sorted_chrono(preds)
-    sg = _sorted_chrono(gts)
+    sp = sorted(preds)
+    sg = sorted(gts)
 
     lines = ["preds (sorted):"]
     lines.extend(f"  p{i}: {iv.start:g} to {iv.end:g}" for i, iv in enumerate(sp))

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .intervals import Interval, iou, merge, set_iou
+from .intervals import Interval, _unchecked, iou, merge, set_iou
 from .parsing import ParseError, TaskKind, read
 from .rewards import _prf, classification_reward, dp_match, reward_type1
 
@@ -83,7 +83,9 @@ class EvalReport:
 
 
 def _clamp_interval(iv: Interval, duration: float) -> Interval:
-    return Interval(min(iv.start, duration), min(iv.end, duration))
+    """``iv`` with both endpoints cut at ``duration``, a positive float."""
+    start, end = iv
+    return _unchecked((min(start, duration), min(end, duration)))
 
 
 def _predicted(
@@ -94,7 +96,8 @@ def _predicted(
     failed = isinstance(reading.parsed, ParseError)
     intervals = (reading.intervals or ()) if failed else reading.parsed.intervals
     if clamp and sample.duration is not None:
-        intervals = tuple(_clamp_interval(iv, sample.duration) for iv in intervals)
+        duration = float(sample.duration)
+        intervals = tuple(_clamp_interval(iv, duration) for iv in intervals)
     return intervals, failed, reading.answer_text
 
 

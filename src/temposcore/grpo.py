@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .evaluation import _WHITESPACE_RE
 from .intervals import Interval, _finite_float, _interval_from_pair
 from .parsing import ParsedOutput, TaskKind, serialize
 from .rewards import TalConfig, total_reward
@@ -672,6 +673,9 @@ def scenario_from_dict(d: dict) -> Scenario:
     name = d.get("name", "scenario")
     if not isinstance(name, str):
         raise ScenarioError("scenario name must be a string")
+    # the name is printed into simulate's scenario= line: it must not break or split it
+    if _WHITESPACE_RE.search(name):
+        raise ScenarioError(f"scenario name {name!r} must not contain whitespace")
     grpo = _grpo_from_dict(d["grpo"]) if "grpo" in d else None
     specs = []
     for i, p in enumerate(prompts):

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable
+from functools import partial
+from typing import Iterable, NamedTuple
 
 
 def _finite_float(value: object) -> float | None:
@@ -36,28 +36,48 @@ def _finite_float(value: object) -> float | None:
     return value if math.isfinite(value) else None
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """A closed segment [start, end] in seconds; zero length is allowed."""
-
+class _Endpoints(NamedTuple):
     start: float
     end: float
 
+
+class Interval(_Endpoints):
+    """A closed segment [start, end] in seconds; zero length is allowed.
+
+    An Interval is a checked ``(start, end)`` tuple of floats: it unpacks,
+    sorts and compares as that tuple. The constructor converts both
+    endpoints with ``float()`` and rejects non-finite, negative and
+    inverted ones.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: float, end: float) -> Interval:
+        self = tuple.__new__(cls, (float(start), float(end)))
+        self.__post_init__()  # kept a method: bench/tracer.py patches it to count checked builds
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> Interval:
+        """Checked like the constructor; ``_replace`` builds through this too."""
+        return cls(*iterable)
+
     def __post_init__(self) -> None:
-        start = float(self.start)
-        end = float(self.end)
+        start, end = self
         if not (math.isfinite(start) and math.isfinite(end)):
-            raise ValueError(f"interval endpoints must be finite, got ({self.start}, {self.end})")
+            raise ValueError(f"interval endpoints must be finite, got ({start}, {end})")
         if start < 0.0 or end < 0.0:
             raise ValueError(f"interval endpoints must be >= 0, got ({start}, {end})")
         if end < start:
             raise ValueError(f"interval end < start: ({start}, {end})")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
 
     @property
     def length(self) -> float:
         return self.end - self.start
+
+
+# A (start, end) pair as an Interval, unchecked: only for floats 0.0 <= start <= end < inf.
+_unchecked = partial(tuple.__new__, Interval)
 
 
 def _interval_from_pair(pair: object) -> Interval:
@@ -67,6 +87,11 @@ def _interval_from_pair(pair: object) -> Interval:
     that forms a valid interval: a bool or a numeric string is not an
     endpoint, and a two-character string is not a pair.
     """
+    if type(pair) is list and len(pair) == 2:
+        start, end = pair
+        # the common case, two JSON numbers with a fraction
+        if type(start) is float and type(end) is float and 0.0 <= start <= end < math.inf:
+            return _unchecked((start, end))
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ValueError("not a [start, end] pair")
     start, end = _finite_float(pair[0]), _finite_float(pair[1])
@@ -104,16 +129,15 @@ def iou(a: Interval, b: Interval) -> float:
     are zero-length the ratio is 0/0; identical points count as 1, distinct
     points as 0.
     """
-    inter = min(a.end, b.end) - max(a.start, b.start)
+    a_start, a_end = a
+    b_start, b_end = b
+    inter = min(a_end, b_end) - max(a_start, b_start)
     if inter < 0.0:
         inter = 0.0
-    union = a.length + b.length - inter
+    union = (a_end - a_start) + (b_end - b_start) - inter
     if union <= 0.0:
         return 1.0 if a == b else 0.0
     return inter / union
-
-
-_CHRONO = attrgetter("start", "end")
 
 
 def merge(xs: Iterable[Interval]) -> IntervalSet:
@@ -122,19 +146,19 @@ def merge(xs: Iterable[Interval]) -> IntervalSet:
     Intervals that overlap or share an endpoint are coalesced. Idempotent:
     merging a canonical set's members reproduces it exactly.
     """
-    ordered = sorted(xs, key=_CHRONO)
+    ordered = sorted(xs)
     if not ordered:
         return IntervalSet(())
     out: list[Interval] = []
-    cur_start, cur_end = ordered[0].start, ordered[0].end
-    for iv in ordered[1:]:
-        if iv.start <= cur_end:
-            if iv.end > cur_end:
-                cur_end = iv.end
+    cur_start, cur_end = ordered[0]
+    for start, end in ordered[1:]:
+        if start <= cur_end:
+            if end > cur_end:
+                cur_end = end
         else:
-            out.append(Interval(cur_start, cur_end))
-            cur_start, cur_end = iv.start, iv.end
-    out.append(Interval(cur_start, cur_end))
+            out.append(_unchecked((cur_start, cur_end)))
+            cur_start, cur_end = start, end
+    out.append(_unchecked((cur_start, cur_end)))
     return IntervalSet(tuple(out))
 
 

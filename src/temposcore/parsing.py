@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .intervals import Interval
+from .intervals import Interval, _unchecked
 
 
 class TaskKind(str, Enum):
@@ -97,10 +97,12 @@ def _parse_interval_list(content: str) -> tuple[Interval, ...]:
             raise ParseError(
                 ParseFailure.INVALID_INTERVAL, f"interval end precedes start in {chunk!r}"
             )
-        try:
-            out.append(Interval(start, end))
-        except ValueError as exc:  # overflow to inf via exponent notation
-            raise ParseError(ParseFailure.BAD_TIMESTAMP, str(exc)) from exc
+        if end == math.inf:  # overflow via exponent notation; start <= end
+            raise ParseError(
+                ParseFailure.BAD_TIMESTAMP,
+                f"interval endpoints must be finite, got ({start}, {end})",
+            )
+        out.append(_unchecked((start, end)))
     return tuple(out)
 
 
@@ -188,7 +190,7 @@ def read(raw: str, task: TaskKind, strict: bool = False) -> Reading:
         intervals = parsed.intervals  # a clean lenient parse reads the same pairs
     elif scored is not None:
         pairs = [(float(s), float(e)) for s, e in _PAIR_RE.findall(scored)]
-        intervals = tuple(Interval(s, e) for s, e in pairs if s <= e < math.inf)
+        intervals = tuple(_unchecked(p) for p in pairs if p[0] <= p[1] < math.inf)
     text = answer.strip() if gvqa and answer is not None else None
     return Reading(parsed, intervals, text or None)
 

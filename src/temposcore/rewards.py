@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .intervals import _CHRONO, Interval, iou, merge, set_iou
+from .intervals import Interval, _finite_float, iou, merge, set_iou
 from .parsing import ParseError, TaskKind, read
 
 @dataclass(frozen=True)
@@ -32,6 +32,9 @@ class TalConfig:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
+        # an infinite sigma would score every count mismatch as 1
+        if _finite_float(self.sigma) is None:
+            raise ValueError("sigma must be a finite number")
         if not (self.sigma > 0):
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
@@ -70,10 +73,6 @@ class RewardBreakdown:
     total: float
     match: MatchResult | None = None
     num: float | None = None
-
-
-def _sorted_chrono(xs: Sequence[Interval]) -> list[Interval]:
-    return sorted(xs, key=_CHRONO)
 
 
 def _prf(siou: float, n_pred: int, n_gt: int) -> tuple[float, float, float]:
@@ -205,8 +204,8 @@ def dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
     if not preds:
         return _empty_match()
 
-    sp = _sorted_chrono(preds)
-    sg = _sorted_chrono(gts)
+    sp = sorted(preds)
+    sg = sorted(gts)
     m, n = len(sp), len(sg)
     d, windows = _dp_table(sp, sg)
 
@@ -245,8 +244,8 @@ def sequential_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> Matc
     if not preds:
         return _empty_match()
 
-    sp = _sorted_chrono(preds)
-    sg = _sorted_chrono(gts)
+    sp = sorted(preds)
+    sg = sorted(gts)
     pairs: list[tuple[int, int]] = []
     pair_ious: list[float] = []
     siou = 0.0

@@ -19,8 +19,9 @@ from temposcore import (
     iou,
 )
 from temposcore.grpo import Params, SampledResponse
+from temposcore.intervals import _finite_float
 from temposcore.parsing import _PAIR_RE, _parse_interval_list
-from temposcore.rewards import _empty_match, _prf, _sorted_chrono
+from temposcore.rewards import _empty_match, _prf
 
 GARBAGE_PREDICTION = "uh, somewhere near the start probably??"
 
@@ -101,6 +102,21 @@ def dense_dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchR
     return MatchResult(tuple(pairs), tuple(pair_ious), siou, precision, recall, f1)
 
 
+def checked_interval_from_pair(pair: object) -> Interval:
+    """Reference edge check: :func:`temposcore.intervals._finite_float` on each
+    endpoint, then the checked ``Interval(...)``.
+
+    This is the original form of ``intervals._interval_from_pair``, kept as an
+    oracle for its unchecked fast path on two float endpoints.
+    """
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError("not a [start, end] pair")
+    start, end = _finite_float(pair[0]), _finite_float(pair[1])
+    if start is None or end is None:
+        raise ValueError("endpoints must be finite numbers")
+    return Interval(start, end)
+
+
 def choice_sample(logps: Params, rng: np.random.Generator) -> SampledResponse:
     """Reference sampler: one ``rng.choice`` per head draw.
 
@@ -141,8 +157,8 @@ def brute_force_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> Mat
     if not preds:
         return _empty_match()
 
-    sp = _sorted_chrono(preds)
-    sg = _sorted_chrono(gts)
+    sp = sorted(preds)
+    sg = sorted(gts)
     m, n = len(sp), len(sg)
     ious = _iou_matrix(sp, sg)
 

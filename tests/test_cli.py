@@ -155,10 +155,19 @@ class TestRewardCommand:
         assert "total=2.0000" in line
         assert "cls=-" in line
 
-    def test_bad_sigma_exits_2_before_reading_the_dataset(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            ("-1", "sigma must be positive, got -1.0"),
+            ("inf", "sigma must be a finite number"),
+            ("1e999", "sigma must be a finite number"),
+            ("nan", "sigma must be a finite number"),
+        ],
+    )
+    def test_bad_sigma_exits_2_before_reading_the_dataset(self, tmp_path, capsys, sigma, message):
         missing = tmp_path / "missing.jsonl"  # opening it would exit 1
-        assert main(["reward", "--dataset", str(missing), "--sigma", "-1"]) == 2
-        assert capsys.readouterr().err == "error: sigma must be positive, got -1.0\n"
+        assert main(["reward", "--dataset", str(missing), "--sigma", sigma]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_tal_record_includes_match(self, capsys):
         record = {
@@ -296,14 +305,19 @@ class TestSimulateCommand:
              "GVQA option ' B' must be a non-empty"),
             ({"task": "GVQA", "gt_answer": "A", "options": ["A", "<b>"]},
              "GVQA option '<b>' must be a non-empty"),
+            ({"name": "a b\nc"}, "scenario name 'a b\\nc' must not contain whitespace"),
         ],
     )
     def test_oversized_or_mistyped_scenario_exits_2(self, tmp_path, capsys, prompt, fragment):
         path = tmp_path / "bad.json"
         base = {"task": "TG", "duration": 100, "grid_step": 10, "gt_intervals": [[0, 10]]}
-        path.write_text(json.dumps({"prompts": [{**base, **prompt}]}))
+        prompt = {**base, **prompt}
+        # "name" is the scenario's own key, and its error names no prompt
+        scenario = {"name": prompt.pop("name")} if "name" in prompt else {}
+        path.write_text(json.dumps({**scenario, "prompts": [prompt]}))
         assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
-        assert f"error: prompt 0: {fragment}" in capsys.readouterr().err
+        where = "" if scenario else "prompt 0: "
+        assert f"error: {where}{fragment}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "pairs, fragment",
@@ -358,6 +372,8 @@ class TestSimulateCommand:
             ("{}", ["--kl-beta", "nan"], "kl_beta must be a finite number"),
             ("{}", ["--learning-rate", "inf"], "learning_rate must be a finite number"),
             ("{}", ["--clip-eps", "nan"], "clip_eps must be a finite number"),
+            ("{}", ["--sigma", "inf"], "sigma must be a finite number"),
+            ("{}", ["--sigma", "1e999"], "sigma must be a finite number"),
         ],
     )
     def test_non_numeric_grpo_settings_exit_2(self, tmp_path, capsys, grpo, flags, message):

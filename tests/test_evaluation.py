@@ -19,6 +19,7 @@ from temposcore import (
     total_reward,
     write_dataset,
 )
+from temposcore.evaluation import _predicted
 
 GARBAGE = "hmm, somewhere in the middle I think"
 
@@ -257,6 +258,13 @@ class TestAggregate:
         clamped = aggregate([sample], clamp=True).blocks[TaskKind.TG].miou
         assert plain == pytest.approx(10 / 110, abs=1e-12)
         assert clamped == 1.0
+
+    def test_clamped_endpoints_are_floats(self):
+        sample = make(TaskKind.DTG, [(90, 100)], "<answer>90 to 200, 300 to 400</answer>",
+                      duration=100)
+        intervals = _predicted(sample, strict=False, clamp=True)[0]
+        assert intervals == ((90.0, 100.0), (100.0, 100.0))
+        assert all(type(x) is float for iv in intervals for x in iv)
 
 
 def test_garbage_never_helps_on_imperfect_corpus():

@@ -1,9 +1,13 @@
 import math
+import pickle
+from operator import attrgetter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from helpers import checked_interval_from_pair
 from temposcore import Interval, IntervalSet, iou, merge, set_iou
+from temposcore.intervals import _interval_from_pair
 
 
 def ivs(pairs):
@@ -47,6 +51,91 @@ class TestIntervalValidity:
     def test_endpoints_coerced_to_float(self):
         iv = Interval(1, 2)
         assert isinstance(iv.start, float) and isinstance(iv.end, float)
+
+
+class TestTupleContract:
+    def test_is_a_float_pair(self):
+        iv = Interval(start=1, end=2)
+        assert iv == Interval(1.0, 2.0) == (1.0, 2.0)
+        assert tuple(iv) == (1.0, 2.0) and iv.length == 1.0
+        assert repr(iv) == "Interval(start=1.0, end=2.0)"
+        assert hash(iv) == hash((1.0, 2.0))
+
+    def test_make_and_replace_are_checked(self):
+        assert Interval._make([1, 2]) == Interval(1.0, 2.0)
+        assert Interval(1.0, 2.0)._replace(end=3) == Interval(1.0, 3.0)
+        with pytest.raises(ValueError, match="end < start"):
+            Interval._make([3.0, 1.0])
+        with pytest.raises(ValueError, match=">= 0"):
+            Interval(1.0, 2.0)._replace(start=-1.0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        iv = Interval(0.5, 3.0)
+        back = pickle.loads(pickle.dumps(iv, protocol))
+        assert type(back) is Interval and back == iv
+
+    @pytest.mark.parametrize(
+        "start, end, message",
+        [
+            (0.0, math.nan, "interval endpoints must be finite, got (0.0, nan)"),
+            (math.inf, 1.0, "interval endpoints must be finite, got (inf, 1.0)"),
+            (-1, 4, "interval endpoints must be >= 0, got (-1.0, 4.0)"),
+            (5, 4, "interval end < start: (5.0, 4.0)"),
+        ],
+    )
+    def test_constructor_messages(self, start, end, message):
+        with pytest.raises(ValueError) as info:
+            Interval(start, end)
+        assert str(info.value) == message
+
+    @given(st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 1.0, 2.5]),
+                              st.sampled_from([-0.0, 0.0, 2.5, 3.0])), max_size=12))
+    def test_sorted_is_the_old_chronological_order(self, pairs):
+        xs = [Interval(s, max(s, e)) for s, e in pairs]
+        want = sorted(xs, key=attrgetter("start", "end"))
+        got = sorted(xs)
+        # the same objects in the same order: ties (0.0 and -0.0 too) keep input order
+        assert [id(iv) for iv in got] == [id(iv) for iv in want]
+
+
+# every kind of JSON-decoded endpoint the edge can meet, and a few it cannot
+endpoints = st.one_of(
+    st.floats(),  # finite, -0.0, 5e-324, +-inf and nan
+    st.integers(-10, 10**6),
+    st.integers(2**1024, 2**1100).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.booleans(),
+    st.floats(0.0, 100.0).map(repr),
+    st.none(),
+)
+float_pairs = st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)).map(sorted)
+
+
+@given(st.one_of(
+    float_pairs,
+    st.lists(st.sampled_from([-0.0, 0.0, 5e-324, 1.0, math.inf, math.nan]),
+             min_size=2, max_size=2),
+    st.lists(endpoints, min_size=2, max_size=2),
+    st.lists(endpoints, min_size=1, max_size=1),
+    st.lists(endpoints, min_size=3, max_size=3),
+))
+@example([-0.0, -0.0])
+@example([-0.0, 1.0])
+@example([0.0, math.inf])
+@example([5e-324, 5e-324])
+def test_interval_from_pair_matches_checked_composition(pair):
+    """The unchecked fast path gives what the checked composition gives, or its error."""
+    try:
+        want = checked_interval_from_pair(pair)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            _interval_from_pair(pair)
+        assert str(info.value) == str(exc)
+        return
+    got = _interval_from_pair(pair)
+    assert type(got) is Interval and got == want
+    assert all(type(x) is float for x in got)
+    assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
 
 
 class TestIou:

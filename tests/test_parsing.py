@@ -81,8 +81,10 @@ class TestParse:
         assert reason is ParseFailure.BAD_TIMESTAMP
 
     def test_timestamp_overflow(self):
-        reason = read("<answer>1 to 1e999</answer>", TaskKind.TG).parsed.reason
-        assert reason is ParseFailure.BAD_TIMESTAMP
+        for pair, shown in [("1 to 1e999", "1.0, inf"), ("1e999 to 2e999", "inf, inf")]:
+            parsed = read(f"<answer>{pair}</answer>", TaskKind.TG).parsed
+            assert parsed.reason is ParseFailure.BAD_TIMESTAMP
+            assert str(parsed) == f"interval endpoints must be finite, got ({shown})"
 
     def test_inverted_interval(self):
         reason = read("<answer>7.8 to 3.2</answer>", TaskKind.TG).parsed.reason
