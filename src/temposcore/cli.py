@@ -10,17 +10,25 @@ Subcommands:
 Exit codes: 0 success, 1 internal error, 2 input-schema error.
 
 ``eval`` and ``reward`` read the dataset in one pass, scoring each line as
-it is read, and write once, at the end: a malformed line anywhere exits 2
-with nothing written.
+it is read. Every command's output is committed only when the command
+succeeds: a malformed line anywhere exits 2 with nothing written. ``--out``
+streams to a temporary file that replaces the target at the end; stdout is
+buffered.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import re
+import stat
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .evaluation import aggregate
 from .grpo import GrpoConfig, ScenarioError, load_scenario, run_simulation, standard_reward_fn
@@ -44,29 +52,67 @@ EXIT_INTERNAL = 1
 EXIT_SCHEMA = 2
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _new_file_mode() -> int:
+    """The mode ``open(path, "w")`` gives a file it creates: 0o666 less the umask.
+
+    Reading the umask sets it for a moment; the CLI runs on one thread.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+@contextmanager
+def _writer(out: str | None) -> Iterator[Callable[[str], object]]:
+    """A write function for a command's output, committed only if the command succeeds.
+
+    With ``out`` naming a regular file or a new path, the text streams to a
+    temporary file in the target's directory, which takes the mode the
+    target has (or would get from ``open``) and replaces it with
+    ``os.replace``; on any error it is deleted and the target is untouched.
+    Otherwise (stdout, or a device or pipe that cannot be replaced) the text
+    is buffered and written at the end.
+    """
+    target = None if out is None else os.path.realpath(out)
+    if target is None or (os.path.exists(target) and not os.path.isfile(target)):
+        buffer = io.StringIO()
+        yield buffer.write
+        if out is None:
+            sys.stdout.write(buffer.getvalue())
+        else:
+            Path(out).write_text(buffer.getvalue(), encoding="utf-8")
+        return
+    try:
+        mode = stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        mode = _new_file_mode()
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".temposcore-", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            os.fchmod(fd, mode)
+            yield f.write
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     report = aggregate(iter_dataset(args.dataset), strict=args.strict_parse, clamp=args.clamp)
-    _emit(render_report(report), args.out)
+    with _writer(args.out) as write:
+        write(render_report(report))
     return EXIT_OK
 
 
 def cmd_reward(args: argparse.Namespace) -> int:
     tal_cfg = TalConfig(sigma=args.sigma)  # a bad --sigma exits 2 before any line is read
-    lines = []
-    for s in iter_dataset(args.dataset):
-        breakdown = total_reward(
-            s.prediction_raw, s.task, s.gt_intervals, s.gt_answer,
-            cfg=tal_cfg, strict=args.strict_parse, tal_normalize=args.tal_normalize,
-        )
-        lines.append(render_reward_record(s, breakdown))
-    _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
+    with _writer(args.out) as write:
+        for s in iter_dataset(args.dataset):
+            breakdown = total_reward(
+                s.prediction_raw, s.task, s.gt_intervals, s.gt_answer,
+                cfg=tal_cfg, strict=args.strict_parse, tal_normalize=args.tal_normalize,
+            )
+            write(render_reward_record(s, breakdown) + "\n")
     return EXIT_OK
 
 
@@ -138,7 +184,8 @@ def _match_table(preds: tuple[Interval, ...], gts: tuple[Interval, ...], compare
 def cmd_match(args: argparse.Namespace) -> int:
     preds = parse_inline_intervals(args.preds)
     gts = parse_inline_intervals(args.gts)
-    _emit(_match_table(preds, gts, args.compare), args.out)
+    with _writer(args.out) as write:
+        write(_match_table(preds, gts, args.compare))
     return EXIT_OK
 
 
@@ -167,7 +214,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"kl={stats.kl:.4f} clip_fraction={stats.clip_fraction:.4f}"
         )
     # the modal choice of each head of the final policy
-    for i, (prompt, (_, probs)) in enumerate(zip(scenario.prompts, result.tables)):
+    for i, (prompt, (_, probs)) in enumerate(zip(scenario.prompts, result.policy.tables)):
         count_probs = probs["count"]
         modal = int(count_probs.argmax())
         parts = [
@@ -187,7 +234,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             parts.append(f"answer={prompt.options[j]}")
             parts.append(f"answer_p={answer_probs[j]:.4f}")
         lines.append(" ".join(parts))
-    _emit("\n".join(lines) + "\n", args.out)
+    with _writer(args.out) as write:
+        write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

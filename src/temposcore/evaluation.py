@@ -25,9 +25,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .intervals import Interval, _unchecked, iou, merge, set_iou
+from .intervals import Interval, _unchecked, iou
 from .parsing import ParseError, TaskKind, read
-from .rewards import _prf, classification_reward, dp_match, reward_type1
+from .rewards import _prf, classification_reward, dp_match, reward_type1, reward_type2
 
 RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
 TAL_THRESHOLDS = (0.1, 0.3, 0.5, 0.7)
@@ -142,7 +142,7 @@ def _score_dtg(tally: _Tally, s: Sample, preds: tuple[Interval, ...], answer: st
 
 
 def _score_union(tally: _Tally, s: Sample, preds: tuple[Interval, ...], answer: str | None) -> None:
-    tally.scores.append(set_iou(merge(preds), merge(s.gt_intervals)) if preds else 0.0)
+    tally.scores.append(reward_type2(preds, s.gt_intervals))
 
 
 def _score_gvqa(tally: _Tally, s: Sample, preds: tuple[Interval, ...], answer: str | None) -> None:

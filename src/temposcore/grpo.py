@@ -171,14 +171,16 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 class ToyPolicy:
-    """Factorized categorical policy, one head set per prompt.
+    """Factorized categorical policy, one head set per prompt; an immutable value.
 
     Heads per prompt: ``count`` over 1..max_instances, ``slots`` of shape
     (max_instances, n_candidates), and ``answer`` when the prompt has
-    options. Logits start at zero (uniform).
+    options. Logits start at zero (uniform). The policy takes ``params``
+    over and builds ``tables``, each prompt's ``HeadTables``, once; it marks
+    every array of both read-only, so policies share them freely.
     """
 
-    def __init__(self, prompts: Sequence[PromptSpec], params: list[Params] | None = None):
+    def __init__(self, prompts: Sequence[PromptSpec], params: Sequence[Params] | None = None):
         self.prompts = tuple(prompts)
         if params is None:
             params = []
@@ -190,10 +192,11 @@ class ToyPolicy:
                 if p.options:
                     head["answer"] = np.zeros(len(p.options))
                 params.append(head)
-        self.params = params
-
-    def copy(self) -> "ToyPolicy":
-        return ToyPolicy(self.prompts, [{k: v.copy() for k, v in h.items()} for h in self.params])
+        self.params = tuple(params)
+        self.tables = tuple(HeadTables.of(self.head_log_probs(i)) for i in range(len(self.prompts)))
+        for heads in (*self.params, *(d for t in self.tables for d in t)):
+            for z in heads.values():
+                z.flags.writeable = False
 
     def head_log_probs(self, idx: int) -> Params:
         return {name: _log_softmax(z) for name, z in self.params[idx].items()}
@@ -380,9 +383,10 @@ RewardFn = Callable[[str, PromptSpec], float]
 """Scores a decoded response for its prompt.
 
 A reward must be a deterministic function of ``(text, prompt)``: each
-distinct (prompt, response) is decoded and scored once per
-``run_simulation`` (once per ``grpo_step`` called on its own), and repeats
-reuse the value. ``standard_reward_fn`` is.
+distinct (prompt, response) is decoded and scored once per reward memo,
+which ``run_simulation`` keeps for the whole run (a ``grpo_step`` called
+without one keeps its own), and repeats reuse the value.
+``standard_reward_fn`` is deterministic.
 """
 
 
@@ -391,22 +395,6 @@ class StepStats:
     mean_reward: float
     kl: float
     clip_fraction: float
-
-
-class _RunCache:
-    """What one step hands the next within a run.
-
-    ``ref_logps`` are the frozen reference's log-probabilities, computed once.
-    ``tables`` are the head tables of ``policy``, the policy the last step
-    returned; a step handed any other policy computes its own. ``rewards``
-    maps (prompt index, response) to its reward (see ``RewardFn``).
-    """
-
-    def __init__(self, ref: ToyPolicy):
-        self.ref = self.policy = ref
-        self.tables = [HeadTables.of(ref.head_log_probs(i)) for i in range(len(ref.prompts))]
-        self.ref_logps = [t.logps for t in self.tables]
-        self.rewards: dict[tuple[int, SampledResponse], float] = {}
 
 
 def _score_group(
@@ -435,63 +423,57 @@ def grpo_step(
     rng_seed,
     ref: ToyPolicy | None = None,
     inner_steps: int = 1,
-    cache: _RunCache | None = None,
+    memo: dict[tuple[int, SampledResponse], float] | None = None,
 ) -> tuple[ToyPolicy, StepStats]:
     """One optimization step: sample groups, score, ascend the objective.
 
-    Responses are drawn from the frozen input policy; with the default
-    single inner step the ratios start at 1 and the update is the plain
-    policy gradient. More inner steps re-ascend the same batch, which is
-    what exercises the clipping path. The input policy is not mutated.
-    KL regularizes toward ``ref`` (the input policy when omitted).
-
-    Each prompt's log-softmax is computed once per inner step, on the
-    updated logits; the last one is the next step's sampling table when
-    ``cache`` (kept by ``run_simulation``) carries it, together with the
-    reference's tables and the rewards of the run.
+    The policies are immutable values, so the result depends on the inputs
+    alone; only ``memo``, which maps (prompt index, response) to its reward
+    (see ``RewardFn``), is filled in place. Responses are drawn from
+    ``policy.tables``; with the default single inner step the ratios start
+    at 1 and the update is the plain policy gradient. More inner steps
+    re-ascend the same batch, which is what exercises the clipping path.
+    Each inner step builds a new policy from the updated logits, and with it
+    that policy's tables: one log-softmax per prompt per inner step. KL
+    regularizes toward ``ref.tables`` (the input policy's when ``ref`` is
+    omitted).
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
-    frozen = policy if ref is None else ref
-    if cache is None or cache.ref is not frozen:
-        cache = _RunCache(frozen)
-    n_prompts = len(policy.prompts)
-    if cache.policy is policy:
-        tables = list(cache.tables)
-    else:
-        tables = [HeadTables.of(policy.head_log_probs(i)) for i in range(n_prompts)]
+    ref_logps = [t.logps for t in (policy if ref is None else ref).tables]
+    memo = {} if memo is None else memo
     rng = np.random.default_rng(rng_seed)
 
     batches = []
     all_rewards: list[float] = []
-    for i in range(n_prompts):
-        responses = sample_group(tables[i], rng, cfg.group_size)
-        rewards = _score_group(policy, i, responses, reward_fn, cache.rewards)
+    for i, tables in enumerate(policy.tables):
+        responses = sample_group(tables, rng, cfg.group_size)
+        rewards = _score_group(policy, i, responses, reward_fn, memo)
         advantages = group_advantages(rewards, cfg.std_floor)
         # With one inner step every ratio is exactly 1, so a zero-advantage
         # response can neither move the policy nor clip: leave it out.
         kept = [(r, a) for r, a in zip(responses, advantages) if a != 0.0 or inner_steps > 1]
-        old_vals = [response_log_prob(tables[i].logps, r) for r, _ in kept]
+        old_vals = [response_log_prob(tables.logps, r) for r, _ in kept]
         batches.append(([r for r, _ in kept], [a for _, a in kept], old_vals))
         all_rewards.extend(rewards)
 
-    new = policy.copy()
-    total = cfg.group_size * n_prompts
+    new = policy
+    total = cfg.group_size * len(policy.prompts)
     clip_fraction = 0.0
     for _ in range(inner_steps):
         clipped = 0
+        params = []
         for i, (responses, advantages, old_vals) in enumerate(batches):
             _, grads, _, n_clipped = objective_and_gradients(
-                tables[i], responses, advantages, old_vals, cache.ref_logps[i], cfg,
+                new.tables[i], responses, advantages, old_vals, ref_logps[i], cfg,
             )
-            for name, g in grads.items():
-                new.params[i][name] += cfg.learning_rate * g
-            tables[i] = HeadTables.of(new.head_log_probs(i))
+            params.append({name: z + cfg.learning_rate * grads[name]
+                           for name, z in new.params[i].items()})
             clipped += n_clipped
+        new = ToyPolicy(policy.prompts, params)
         clip_fraction = clipped / total if total else 0.0
 
-    kl_after = sum(prompt_kl(tables[i], cache.ref_logps[i]) for i in range(n_prompts))
-    cache.policy, cache.tables = new, tables
+    kl_after = sum(prompt_kl(t, logps) for t, logps in zip(new.tables, ref_logps))
     mean_reward = sum(all_rewards) / len(all_rewards) if all_rewards else 0.0
     return new, StepStats(mean_reward=mean_reward, kl=kl_after, clip_fraction=clip_fraction)
 
@@ -501,7 +483,6 @@ class SimulationResult:
     name: str
     curve: list[StepStats]
     policy: ToyPolicy
-    tables: list[HeadTables]  # the head tables of ``policy``, one per prompt
 
 
 def standard_reward_fn(sigma: float = 1.0, tal_normalize: bool = False) -> RewardFn:
@@ -528,20 +509,21 @@ def run_simulation(
 
     The KL reference is the initial (uniform) policy. Each step derives its
     own RNG stream from (seed, step), so curves are identical bit for bit
-    across runs with the same inputs. One cache carries the head tables from
-    step to step, the reference's tables and every reward of the run; the
-    result hands on the last step's tables.
+    across runs with the same inputs. Policies are immutable values: each
+    step samples from the tables of the policy the last one returned, and
+    one reward memo serves the whole run. The result's policy carries the
+    final tables.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     fn = reward_fn if reward_fn is not None else standard_reward_fn()
-    policy = ref = ToyPolicy(scenario.prompts)  # grpo_step never mutates its input
-    cache = _RunCache(ref)
+    policy = ref = ToyPolicy(scenario.prompts)
+    memo: dict[tuple[int, SampledResponse], float] = {}
     curve: list[StepStats] = []
     for t in range(steps):
-        policy, stats = grpo_step(policy, fn, cfg, rng_seed=(seed, t), ref=ref, cache=cache)
+        policy, stats = grpo_step(policy, fn, cfg, rng_seed=(seed, t), ref=ref, memo=memo)
         curve.append(stats)
-    return SimulationResult(scenario.name, curve, policy, cache.tables)
+    return SimulationResult(scenario.name, curve, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,16 @@ from typing import Sequence
 from .intervals import Interval, _finite_float, iou, merge, set_iou
 from .parsing import ParseError, TaskKind, read
 
+
+def _check_sigma(sigma: object) -> None:
+    """The count penalty's scale: a finite, positive number."""
+    # an infinite sigma would score every count mismatch as 1
+    if _finite_float(sigma) is None:
+        raise ValueError("sigma must be a finite number")
+    if not (sigma > 0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+
+
 @dataclass(frozen=True)
 class TalConfig:
     """Knobs for the many-to-many (TAL) reward; sigma sharpens the count penalty."""
@@ -32,11 +42,7 @@ class TalConfig:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        # an infinite sigma would score every count mismatch as 1
-        if _finite_float(self.sigma) is None:
-            raise ValueError("sigma must be a finite number")
-        if not (self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        _check_sigma(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -120,8 +126,7 @@ def instance_number_reward(n_pred: int, n_gt: int, sigma: float) -> float:
     """
     if n_gt < 1:
         raise ValueError("ground-truth instance count must be >= 1")
-    if not (sigma > 0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     return math.exp(-abs(n_pred - n_gt) / (min(n_gt, 3) * sigma))
 
 

@@ -114,7 +114,7 @@ def test_c5_gradient_check():
     for _ in range(100):
         batch = random_gradient_config(rng, cfg)
         _, analytic, _, _ = policy_objective(*batch, cfg)
-        numeric = finite_difference(batch[0].params[0], lambda: policy_objective(*batch, cfg)[0])
+        numeric = finite_difference(batch[0], lambda p: policy_objective(p, *batch[1:], cfg)[0])
         flat_a = np.concatenate([analytic[k].ravel() for k in sorted(analytic)])
         flat_n = np.concatenate([numeric[k].ravel() for k in sorted(numeric)])
         err = float(np.linalg.norm(flat_a - flat_n) / max(np.linalg.norm(flat_n), 1e-8))
@@ -134,7 +134,7 @@ def test_c6_simulation_convergence():
         load_scenario(SCENARIOS / "tal_three.json"), GrpoConfig(), steps=500, seed=7
     )
     gt_count = len(tal.policy.prompts[0].gt_intervals)
-    modal_count = int(tal.tables[0].probs["count"].argmax()) + 1
+    modal_count = int(tal.policy.tables[0].probs["count"].argmax()) + 1
     assert modal_count == gt_count
     verdict(
         "C6 simulation convergence",

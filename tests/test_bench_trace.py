@@ -19,14 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "fixtures" / "mixed_corpus.jsonl"
 
 
-@pytest.mark.parametrize("command", ["eval", "reward"])
-def test_traced_child_matches_untraced_output(tmp_path, capsys, command):
-    args = [command, "--dataset", str(CORPUS)]
-    assert main(args) == 0
-    untraced = capsys.readouterr().out
-    if command == "eval":
-        assert untraced == (ROOT / "tests" / "fixtures" / "golden_report.txt").read_text()
-
+def traced_run(tmp_path, args):
+    """``args`` run through ``bench/child.py`` with a trace file: (stdout, trace records)."""
     trace = tmp_path / "trace.jsonl"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])}
     proc = subprocess.run(
@@ -37,6 +31,34 @@ def test_traced_child_matches_untraced_output(tmp_path, capsys, command):
     assert proc.returncode == 0, proc.stderr
     output, _, result = proc.stdout.rstrip("\n").rpartition("\n")
     assert json.loads(result)["rc"] == 0
-    assert output + "\n" == untraced
-    last = json.loads(trace.read_text().splitlines()[-1])
+    return output + "\n", [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("command", ["eval", "reward"])
+def test_traced_child_matches_untraced_output(tmp_path, capsys, command):
+    args = [command, "--dataset", str(CORPUS)]
+    assert main(args) == 0
+    untraced = capsys.readouterr().out
+    if command == "eval":
+        assert untraced == (ROOT / "tests" / "fixtures" / "golden_report.txt").read_text()
+
+    output, records = traced_run(tmp_path, args)
+    assert output == untraced
+    last = records[-1]
     assert last["name"] == "counters" and "intervals.Interval" in last["attrs"]
+
+
+def test_traced_simulate_matches_untraced_output(tmp_path, capsys):
+    """The tracer wraps ``ToyPolicy``'s methods; a traced GRPO run prints the same bytes."""
+    steps = 4
+    args = ["simulate", "--scenario", str(ROOT / "scenarios" / "tg_basic.json"),
+            "--steps", str(steps), "--seed", "3"]
+    assert main(args) == 0
+    untraced = capsys.readouterr().out
+
+    output, records = traced_run(tmp_path, args)
+    assert output == untraced
+    names = [r["name"] for r in records]
+    assert names.count("grpo.grpo_step") == steps
+    # the reference's tables, then one table per step (tg_basic has one prompt)
+    assert names.count("grpo.ToyPolicy.head_log_probs") == steps + 1

@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -215,6 +217,44 @@ class TestMatchCommand:
         out = capsys.readouterr().out
         assert "sequential:" in out
         assert "dominance: dp.siou >= sequential.siou -> ok" in out
+
+    def test_out_keeps_the_mode_and_links_of_a_plain_write(self, tmp_path, capsys):
+        """--out replaces the target, yet leaves the mode and symlink a direct write would."""
+        args = ["match", "--preds", "0-4,6-10", "--gts", "2-8"]
+        assert main(args) == 0
+        table = capsys.readouterr().out
+        plain, out = tmp_path / "plain.txt", tmp_path / "out.txt"
+        plain.write_text(table, encoding="utf-8")
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == table
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        out.chmod(0o640)
+        assert main(args + ["--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        link = tmp_path / "link.txt"
+        link.symlink_to(out)
+        out.write_text("stale\n")
+        assert main(args + ["--out", str(link)]) == 0
+        assert link.is_symlink() and out.read_text(encoding="utf-8") == table
+        assert sorted(tmp_path.iterdir()) == sorted([plain, out, link])
+
+    def test_out_to_a_pipe_is_written_not_replaced(self, tmp_path, capsys):
+        """A target that is not a regular file (a pipe, a device) is written to, not replaced."""
+        args = ["match", "--preds", "0-4,6-10", "--gts", "2-8"]
+        assert main(args) == 0
+        table = capsys.readouterr().out
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(pipe.read_text(encoding="utf-8")), daemon=True
+        )
+        reader.start()
+        assert main(args + ["--out", str(pipe)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == [table]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [pipe]
 
     def test_malformed_inline_interval(self, capsys):
         assert main(["match", "--preds", "nope", "--gts", "0-1"]) == 2
@@ -466,6 +506,13 @@ class TestStreamedDatasetErrors:
         assert captured.out == ""
         assert f"error: {message}" in captured.err
         assert not out.exists()
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file is left behind
+        # an existing target keeps its old bytes
+        out.write_bytes(b"old bytes\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == b"old bytes\n"
+        assert sorted(tmp_path.iterdir()) == sorted([path, out])
 
     @pytest.mark.parametrize("command", ["eval", "reward"])
     @pytest.mark.parametrize(

@@ -165,24 +165,18 @@ def random_gradient_config(rng: np.random.Generator, cfg: GrpoConfig):
     """
     while True:
         prompt = random_prompt(rng)
-        policy = ToyPolicy([prompt])
-        for head in policy.params[0].values():
-            head += rng.normal(0.0, 0.8, size=head.shape)
-        old = policy.copy()
-        for head in old.params[0].values():
-            head += rng.normal(0.0, 0.3, size=head.shape)
-        ref = policy.copy()
-        for head in ref.params[0].values():
-            head += rng.normal(0.0, 0.5, size=head.shape)
+        policy = noisy(ToyPolicy([prompt]), rng, 0.8)
+        old = noisy(policy, rng, 0.3)
+        ref = noisy(policy, rng, 0.5)
 
-        responses = sample_group(HeadTables.of(old.head_log_probs(0)), rng, 4)
+        responses = sample_group(old.tables[0], rng, 4)
         rewards = [float(rng.uniform(0, 2)) for _ in responses]
         if len(set(rewards)) == 1:
             continue
         advantages = group_advantages(rewards)
-        old_lps = [response_log_prob(old.head_log_probs(0), r) for r in responses]
+        old_lps = [response_log_prob(old.tables[0].logps, r) for r in responses]
 
-        cur_lps = policy.head_log_probs(0)
+        cur_lps = policy.tables[0].logps
         ratios = [
             math.exp(response_log_prob(cur_lps, r) - lp) for r, lp in zip(responses, old_lps)
         ]
@@ -192,28 +186,37 @@ def random_gradient_config(rng: np.random.Generator, cfg: GrpoConfig):
         )
         if near_kink:
             continue
-        return policy, responses, advantages, old_lps, ref.head_log_probs(0)
+        return policy, responses, advantages, old_lps, ref.tables[0].logps
+
+
+def noisy(policy, rng, scale):
+    """A one-prompt ``policy`` plus N(0, scale) noise on every logit, drawn in head order."""
+    return ToyPolicy(policy.prompts, [
+        {name: z + rng.normal(0.0, scale, size=z.shape) for name, z in policy.params[0].items()}
+    ])
 
 
 def policy_objective(policy, responses, advantages, old_lps, ref, cfg):
-    """``objective_and_gradients`` on the head tables of prompt 0's current logits."""
-    cur = HeadTables.of(policy.head_log_probs(0))
-    return objective_and_gradients(cur, responses, advantages, old_lps, ref, cfg)
+    """``objective_and_gradients`` on the head tables of prompt 0 of ``policy``."""
+    return objective_and_gradients(policy.tables[0], responses, advantages, old_lps, ref, cfg)
 
 
-def finite_difference(logits, evaluate, h=1e-6):
+def finite_difference(policy, evaluate, h=1e-6):
+    """Central differences of ``evaluate`` in each logit of the one-prompt ``policy``.
+
+    Each side is a new policy whose logits differ from ``policy``'s in one entry.
+    """
+    logits = policy.params[0]
     grads = {}
     for name, z in logits.items():
         g = np.zeros_like(z)
-        flat, gf = z.reshape(-1), g.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            up = evaluate()
-            flat[k] = orig - h
-            down = evaluate()
-            flat[k] = orig
-            gf[k] = (up - down) / (2 * h)
+        for k in range(z.size):
+            sides = []
+            for step in (h, -h):
+                moved = z.copy()
+                moved.flat[k] += step
+                sides.append(evaluate(ToyPolicy(policy.prompts, [{**logits, name: moved}])))
+            g.flat[k] = (sides[0] - sides[1]) / (2 * h)
         grads[name] = g
     return grads
 
@@ -224,7 +227,7 @@ def test_analytic_gradient_matches_finite_differences():
     for _ in range(25):
         batch = random_gradient_config(rng, cfg)
         _, analytic, _, _ = policy_objective(*batch, cfg)
-        numeric = finite_difference(batch[0].params[0], lambda: policy_objective(*batch, cfg)[0])
+        numeric = finite_difference(batch[0], lambda p: policy_objective(p, *batch[1:], cfg)[0])
         flat_a = np.concatenate([analytic[k].ravel() for k in sorted(analytic)])
         flat_n = np.concatenate([numeric[k].ravel() for k in sorted(numeric)])
         err = np.linalg.norm(flat_a - flat_n) / max(np.linalg.norm(flat_n), 1e-8)
@@ -240,9 +243,32 @@ def tg_scenario():
     return load_scenario(SCENARIOS / "tg_basic.json")
 
 
+def zero_params(prompts):
+    """Writable zero logits in ``ToyPolicy``'s layout, to set before a policy takes them."""
+    return [{name: np.zeros_like(z) for name, z in head.items()}
+            for head in ToyPolicy(prompts).params]
+
+
+def test_policy_arrays_are_read_only(tg_scenario):
+    """A policy is a value: neither its logits nor its tables can be written in place."""
+    params = zero_params(tg_scenario.prompts)
+    policy = ToyPolicy(tg_scenario.prompts, params)
+    assert policy.params[0]["slots"] is params[0]["slots"]  # taken over, not copied
+    with pytest.raises(ValueError, match="read-only"):
+        policy.params[0]["slots"][0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        params[0]["count"] += 1.0
+    for table in policy.tables[0]:
+        with pytest.raises(ValueError, match="read-only"):
+            table["slots"][0, 0] = 0.0
+    new, _ = grpo_step(policy, standard_reward_fn(), GrpoConfig(), rng_seed=3)
+    assert not any(z.flags.writeable for head in new.params for z in head.values())
+
+
 def test_zero_learning_rate_is_noop(tg_scenario):
-    policy = ToyPolicy(tg_scenario.prompts)
-    policy.params[0]["slots"][0, 5] = 0.9
+    params = zero_params(tg_scenario.prompts)
+    params[0]["slots"][0, 5] = 0.9
+    policy = ToyPolicy(tg_scenario.prompts, params)
     new, _ = grpo_step(policy, standard_reward_fn(), GrpoConfig(learning_rate=0.0), rng_seed=3)
     for before, after in zip(policy.params, new.params):
         for key in before:
@@ -299,8 +325,7 @@ def test_zero_steps(tg_scenario):
 def test_head_tables_once_per_prompt_step(monkeypatch, steps):
     """One log-softmax per prompt for the reference, then one per prompt-step.
 
-    The result hands on the last step's tables, which equal the returned
-    policy's freshly computed tables byte for byte.
+    The returned policy's tables equal freshly computed ones byte for byte.
     """
     scenario = load_scenario(SCENARIOS / "multitask_five.json")
     calls = []
@@ -314,8 +339,8 @@ def test_head_tables_once_per_prompt_step(monkeypatch, steps):
     res = run_simulation(scenario, GrpoConfig(), steps=steps, seed=3)
     assert len(calls) == len(scenario.prompts) * (steps + 1)
     fresh = [HeadTables.of(res.policy.head_log_probs(i)) for i in range(len(scenario.prompts))]
-    assert len(res.tables) == len(fresh)
-    for got, expected in zip(res.tables, fresh):
+    assert len(res.policy.tables) == len(fresh)
+    for got, expected in zip(res.policy.tables, fresh):
         for field in ("logps", "probs"):
             a, b = getattr(got, field), getattr(expected, field)
             assert a.keys() == b.keys()
@@ -333,7 +358,7 @@ def test_large_beta_stays_closer_to_reference(tg_scenario):
     assert base_kl > 0.01
 
     def continued(beta):
-        policy = warm.policy.copy()
+        policy = warm.policy
         ref = ToyPolicy(tg_scenario.prompts)
         cfg = GrpoConfig(kl_beta=beta, learning_rate=1e-7)
         for t in range(20):
@@ -366,8 +391,9 @@ def test_constant_reward_still_counts_clipping(tg_scenario):
     past 1 + eps. 0.625 (5 of 8) is what the per-response step counted.
     """
     ref = ToyPolicy(tg_scenario.prompts)
-    policy = ref.copy()
-    policy.params[0]["slots"][0, 0] += 3.0
+    params = zero_params(tg_scenario.prompts)
+    params[0]["slots"][0, 0] += 3.0
+    policy = ToyPolicy(tg_scenario.prompts, params)
     cfg = GrpoConfig(kl_beta=1.0, learning_rate=1.0)
     _, stats = grpo_step(policy, lambda text, prompt: 1.0, cfg, rng_seed=3, ref=ref,
                          inner_steps=4)
@@ -414,7 +440,7 @@ _INNER_STEPS_PIN = {
 def test_inner_steps_pinned_bitwise(ref_kind):
     scenario = load_scenario(SCENARIOS / "multitask_five.json")
     policy = ToyPolicy(scenario.prompts)
-    ref = policy.copy() if ref_kind == "explicit ref" else None
+    ref = ToyPolicy(scenario.prompts) if ref_kind == "explicit ref" else None
     cfg = GrpoConfig(learning_rate=2.0, kl_beta=0.2)
     stats = []
     for t in range(6):
@@ -479,11 +505,13 @@ def test_rowwise_numpy_matches_per_row(scale):
     rng = np.random.default_rng(int(scale * 10))
     for _ in range(150):
         rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 601))
-        policy = ToyPolicy([PromptSpec(
+        prompt = PromptSpec(
             task=TaskKind.TAL, gt_intervals=(Interval(0, 1),),
             grid=tuple(Interval(k, k + 1) for k in range(cols)), max_instances=rows,
-        )])
-        policy.params[0]["slots"] = rng.normal(0.0, scale, size=(rows, cols))
+        )
+        policy = ToyPolicy([prompt], [
+            {"count": np.zeros(rows), "slots": rng.normal(0.0, scale, size=(rows, cols))}
+        ])
         logp = policy.head_log_probs(0)["slots"]
         assert logp.flags.c_contiguous
         probs = np.exp(logp)
@@ -522,7 +550,7 @@ def test_run_decodes_and_scores_each_pair_once(monkeypatch):
 
 
 def test_run_matches_independent_steps():
-    """Carried tables and rewards give what fresh grpo_step calls give, bit for bit."""
+    """A run's one reward memo gives what fresh grpo_step calls give, bit for bit."""
     scenario = load_scenario(SCENARIOS / "multitask_five.json")
     cfg = GrpoConfig(kl_beta=0.3, learning_rate=1.5)
     scorer = standard_reward_fn()
@@ -546,11 +574,11 @@ def test_run_matches_independent_steps():
 
 
 def test_policy_probabilities_sum_to_one(tg_scenario):
-    policy = ToyPolicy(tg_scenario.prompts)
+    params = zero_params(tg_scenario.prompts)
     rng = np.random.default_rng(0)
-    for head in policy.params[0].values():
+    for head in params[0].values():
         head += rng.normal(0, 2, size=head.shape)
-    logps = policy.head_log_probs(0)
+    logps = ToyPolicy(tg_scenario.prompts, params).head_log_probs(0)
     assert np.exp(logps["count"]).sum() == pytest.approx(1.0, abs=1e-12)
     for row in np.exp(logps["slots"]):
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
@@ -603,15 +631,15 @@ def test_group_sampler_matches_per_draw_choice(
         gt_answer="A" if with_answer else None,
         options=("A", "B", "C", "D") if with_answer else (),
     )
-    policy = ToyPolicy([prompt])
+    params = zero_params([prompt])
     logit_rng = np.random.default_rng(seed)
-    for head in policy.params[0].values():
+    for head in params[0].values():
         head += logit_rng.normal(0.0, scale, size=head.shape)
-    if spike is not None and spike in policy.params[0]:
+    if spike is not None and spike in params[0]:
         # one head puts all but ~1e-17 of its mass on a single choice
-        head = policy.params[0][spike].reshape(-1)
+        head = params[0][spike].reshape(-1)
         head[int(logit_rng.integers(head.size))] += 40.0
-    logps = policy.head_log_probs(0)
+    logps = ToyPolicy([prompt], params).head_log_probs(0)
 
     fast_rng = np.random.default_rng((seed, 1))
     ref_rng = np.random.default_rng((seed, 1))
@@ -624,10 +652,10 @@ def test_group_sampler_matches_per_draw_choice(
 def test_group_sampler_rejects_nan_logits():
     prompt = PromptSpec(task=TaskKind.TG, gt_intervals=(Interval(0, 1),),
                         grid=(Interval(0, 1), Interval(1, 2)))
-    policy = ToyPolicy([prompt])
-    policy.params[0]["slots"][0, 0] = np.nan
+    params = zero_params([prompt])
+    params[0]["slots"][0, 0] = np.nan
     with pytest.raises(ValueError, match="probabilities"):
-        sample_group(HeadTables.of(policy.head_log_probs(0)), np.random.default_rng(0), 4)
+        sample_group(ToyPolicy([prompt], params).tables[0], np.random.default_rng(0), 4)
 
 
 def test_each_distinct_response_scored_once(monkeypatch):
@@ -640,12 +668,13 @@ def test_each_distinct_response_scored_once(monkeypatch):
         {**base, "task": "TG", "gt_intervals": [[20, 40]]},
         {**base, "task": "DTG", "max_instances": 2, "gt_intervals": [[0, 10], [40, 60]]},
     ]})
-    policy = ToyPolicy(scenario.prompts)
+    params = zero_params(scenario.prompts)
     rng = np.random.default_rng(4)
-    for head in policy.params:
+    for head in params:
         # peaked heads so a group of 8 repeats responses
         head["count"][-1] += 3.0
         head["slots"][:, rng.integers(head["slots"].shape[1], size=2)] += 4.0
+    policy = ToyPolicy(scenario.prompts, params)
     cfg = GrpoConfig()
     scorer = standard_reward_fn()
     calls = []

@@ -100,6 +100,15 @@ class TestInstanceNumberReward:
     def test_bad_sigma_rejected(self):
         with pytest.raises(ValueError):
             instance_number_reward(3, 3, 0.0)
+        with pytest.raises(ValueError, match=r"^sigma must be positive, got -1.0$"):
+            instance_number_reward(3, 3, -1.0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 1e999, 10**999, -math.inf],
+                             ids=["inf", "nan", "1e999", "10**999", "-inf"])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # an infinite sigma would give 8 extra instances the full count reward
+        with pytest.raises(ValueError, match="^sigma must be a finite number$"):
+            instance_number_reward(9, 1, sigma)
 
     @given(st.integers(0, 50), st.integers(1, 50), st.floats(0.1, 10.0))
     def test_in_unit_interval_and_one_iff_match(self, n_pred, n_gt, sigma):
