@@ -13,21 +13,20 @@ Exit codes: 0 success, 1 internal error, 2 input-schema error.
 it is read. Every command's output is committed only when the command
 succeeds: a malformed line anywhere exits 2 with nothing written. ``--out``
 streams to a temporary file that replaces the target at the end; stdout is
-buffered.
+spooled to an unnamed temporary file and copied out at the end.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import re
+import shutil
 import stat
 import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
-from pathlib import Path
 from typing import Callable, Iterator
 
 from .evaluation import aggregate
@@ -71,16 +70,21 @@ def _writer(out: str | None) -> Iterator[Callable[[str], object]]:
     target has (or would get from ``open``) and replaces it with
     ``os.replace``; on any error it is deleted and the target is untouched.
     Otherwise (stdout, or a device or pipe that cannot be replaced) the text
-    is buffered and written at the end.
+    is spooled to an unnamed temporary file, in the encoding of its
+    destination so that an unencodable text fails before anything is
+    written, and copied out at the end; memory stays flat.
     """
     target = None if out is None else os.path.realpath(out)
     if target is None or (os.path.exists(target) and not os.path.isfile(target)):
-        buffer = io.StringIO()
-        yield buffer.write
-        if out is None:
-            sys.stdout.write(buffer.getvalue())
-        else:
-            Path(out).write_text(buffer.getvalue(), encoding="utf-8")
+        codec = (sys.stdout.encoding, sys.stdout.errors) if out is None else ("utf-8", "strict")
+        with tempfile.TemporaryFile("w+", encoding=codec[0], errors=codec[1], newline="") as spool:
+            yield spool.write
+            spool.seek(0)
+            if out is None:
+                shutil.copyfileobj(spool, sys.stdout)
+            else:
+                with open(out, "w", encoding="utf-8") as f:
+                    shutil.copyfileobj(spool, f)
         return
     try:
         mode = stat.S_IMODE(os.stat(target).st_mode)
@@ -278,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma", type=float, default=1.0)
     # None means "not given": fall back to the scenario's bundled config
     p_sim.add_argument("--group-size", type=int, default=None, dest="group_size")
-    p_sim.add_argument("--clip-eps", type=float, default=None, dest="clip_eps")
+    p_sim.add_argument("--clip-eps", type=float, default=None, dest="clip_eps",
+                       help="checked, but cannot change the output: with one inner "
+                            "step per batch every ratio is 1, so the clip never binds")
     p_sim.add_argument("--kl-beta", type=float, default=None, dest="kl_beta")
     p_sim.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
     p_sim.add_argument("--tal-normalize", action="store_true", dest="tal_normalize")

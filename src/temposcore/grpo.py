@@ -133,6 +133,8 @@ class PromptSpec:
             )
         if self.task is TaskKind.TG and self.max_instances != 1:
             raise ScenarioError("TG prompts emit exactly one interval")
+        if self.task is TaskKind.TG and len(self.gt_intervals) != 1:
+            raise ScenarioError("TG prompts take exactly one ground-truth interval")
         if self.task is TaskKind.GVQA:
             if not self.options:
                 raise ScenarioError("GVQA prompts need answer options")
@@ -176,27 +178,29 @@ class ToyPolicy:
     Heads per prompt: ``count`` over 1..max_instances, ``slots`` of shape
     (max_instances, n_candidates), and ``answer`` when the prompt has
     options. Logits start at zero (uniform). The policy takes ``params``
-    over and builds ``tables``, each prompt's ``HeadTables``, once; it marks
-    every array of both read-only, so policies share them freely.
+    and ``ref_logps`` (the KL reference's log-probabilities; its own when
+    omitted) over, builds each prompt's ``tables`` and ``kls`` (``prompt_kl``
+    terms) once, and marks every array read-only, so policies share them.
     """
 
-    def __init__(self, prompts: Sequence[PromptSpec], params: Sequence[Params] | None = None):
+    def __init__(self, prompts: Sequence[PromptSpec], params: Sequence[Params] | None = None,
+                 ref_logps: Sequence[Params] | None = None):
         self.prompts = tuple(prompts)
         if params is None:
-            params = []
-            for p in self.prompts:
-                head: Params = {
-                    "count": np.zeros(p.max_instances),
-                    "slots": np.zeros((p.max_instances, len(p.grid))),
-                }
-                if p.options:
-                    head["answer"] = np.zeros(len(p.options))
-                params.append(head)
+            params = [{"count": np.zeros(p.max_instances),
+                       "slots": np.zeros((p.max_instances, len(p.grid))),
+                       **({"answer": np.zeros(len(p.options))} if p.options else {})}
+                      for p in self.prompts]
         self.params = tuple(params)
         self.tables = tuple(HeadTables.of(self.head_log_probs(i)) for i in range(len(self.prompts)))
-        for heads in (*self.params, *(d for t in self.tables for d in t)):
-            for z in heads.values():
-                z.flags.writeable = False
+        self.ref_logps = (tuple(t.logps for t in self.tables) if ref_logps is None
+                          else tuple(ref_logps))
+        pairs = zip(self.tables, self.ref_logps, strict=True)
+        self.kls = tuple(prompt_kl(t, ref) for t, ref in pairs)
+        heads = (*self.params, *self.ref_logps, *(d for t in self.tables for d in t))
+        kl_arrays = (z for kl in self.kls for z in kl if isinstance(z, np.ndarray))
+        for z in (*(z for d in heads for z in d.values()), *kl_arrays):
+            z.flags.writeable = False
 
     def head_log_probs(self, idx: int) -> Params:
         return {name: _log_softmax(z) for name, z in self.params[idx].items()}
@@ -281,19 +285,20 @@ class _Kl(NamedTuple):
     count_kl: float
     survival: np.ndarray  # survival[s] = P(sampled count covers slot s) = P(count >= s + 1)
     slot_scores: np.ndarray
-    slot_kls: list[float]
+    slot_kls: tuple[float, ...]
     answer_scores: np.ndarray | None
     answer_kl: float
 
 
-def _kl(cur: HeadTables, ref: Params) -> _Kl:
+def prompt_kl(cur: HeadTables, ref: Params) -> _Kl:
+    """Exact KL of the factorized response distribution for one prompt, with its terms."""
     logps, probs = cur
     count_probs = probs["count"]
     count_scores = logps["count"] - ref["count"]
     count_kl = float((count_probs * count_scores).sum())
     survival = np.cumsum(count_probs[::-1])[::-1]
     slot_scores = logps["slots"] - ref["slots"]
-    slot_kls = (probs["slots"] * slot_scores).sum(axis=1).tolist()
+    slot_kls = tuple((probs["slots"] * slot_scores).sum(axis=1).tolist())
     value = count_kl
     for s, kl_s in enumerate(slot_kls):
         value += float(survival[s]) * kl_s
@@ -306,26 +311,21 @@ def _kl(cur: HeadTables, ref: Params) -> _Kl:
                answer_scores, answer_kl)
 
 
-def prompt_kl(cur: HeadTables, ref: Params) -> float:
-    """Exact KL of the factorized response distribution for one prompt."""
-    return max(_kl(cur, ref).value, 0.0)
-
-
 def objective_and_gradients(
     cur: HeadTables,
+    kl: _Kl,
     responses: Sequence[SampledResponse],
     advantages: Sequence[float],
     old_log_probs: Sequence[float],
-    ref_log_probs: Params,
     cfg: GrpoConfig,
-) -> tuple[float, Params, float, int]:
+) -> tuple[float, Params, int]:
     """Clipped-surrogate objective for one prompt, with analytic logit gradients.
 
-    ``cur`` holds the head tables of the logits being optimized. Returns
-    (objective, gradients, kl, n_clipped). ``n_clipped`` counts responses whose
-    surrogate sat on the constant clipped branch (no gradient). The KL penalty
-    and its gradient target ``ref_log_probs``. A zero-advantage response adds
-    nothing to the objective or the gradients, so only its clipping is counted.
+    ``cur`` holds the head tables of the logits being optimized, ``kl`` their
+    KL terms (a policy's ``kls``). Returns (objective, gradients, n_clipped).
+    ``n_clipped`` counts responses whose surrogate sat on the constant clipped
+    branch (no gradient). A zero-advantage response adds nothing to the
+    objective or the gradients, so only its clipping is counted.
     """
     logps, probs = cur
     grads: Params = {name: np.zeros_like(lp) for name, lp in logps.items()}
@@ -354,7 +354,6 @@ def objective_and_gradients(
             grads["answer"] -= coeff * probs["answer"]
 
     # exact KL penalty on the factorized distribution
-    kl = _kl(cur, ref_log_probs)
     count_probs = probs["count"]
     kl_count_grad = count_probs * (kl.count_scores - kl.count_kl)
     # the count head moves P(count >= s + 1), which reweights slot KLs
@@ -372,7 +371,7 @@ def objective_and_gradients(
     objective -= cfg.kl_beta * kl.value
     for name in grads:
         grads[name] -= cfg.kl_beta * kl_grad[name]
-    return objective, grads, kl.value, n_clipped
+    return objective, grads, n_clipped
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +420,6 @@ def grpo_step(
     reward_fn: RewardFn,
     cfg: GrpoConfig,
     rng_seed,
-    ref: ToyPolicy | None = None,
     inner_steps: int = 1,
     memo: dict[tuple[int, SampledResponse], float] | None = None,
 ) -> tuple[ToyPolicy, StepStats]:
@@ -433,14 +431,14 @@ def grpo_step(
     ``policy.tables``; with the default single inner step the ratios start
     at 1 and the update is the plain policy gradient. More inner steps
     re-ascend the same batch, which is what exercises the clipping path.
-    Each inner step builds a new policy from the updated logits, and with it
-    that policy's tables: one log-softmax per prompt per inner step. KL
-    regularizes toward ``ref.tables`` (the input policy's when ``ref`` is
-    omitted).
+    Each inner step builds a new policy from the updated logits and the
+    input's ``ref_logps``, and with it that policy's tables and KL terms:
+    one log-softmax and one ``prompt_kl`` per prompt per inner step. KL
+    regularizes toward the input's reference; to regularize toward the
+    input itself, rebuild it from its params first.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
-    ref_logps = [t.logps for t in (policy if ref is None else ref).tables]
     memo = {} if memo is None else memo
     rng = np.random.default_rng(rng_seed)
 
@@ -463,17 +461,15 @@ def grpo_step(
     for _ in range(inner_steps):
         clipped = 0
         params = []
-        for i, (responses, advantages, old_vals) in enumerate(batches):
-            _, grads, _, n_clipped = objective_and_gradients(
-                new.tables[i], responses, advantages, old_vals, ref_logps[i], cfg,
-            )
+        for i, batch in enumerate(batches):
+            _, grads, n_clipped = objective_and_gradients(new.tables[i], new.kls[i], *batch, cfg)
             params.append({name: z + cfg.learning_rate * grads[name]
                            for name, z in new.params[i].items()})
             clipped += n_clipped
-        new = ToyPolicy(policy.prompts, params)
+        new = ToyPolicy(policy.prompts, params, policy.ref_logps)
         clip_fraction = clipped / total if total else 0.0
 
-    kl_after = sum(prompt_kl(t, logps) for t, logps in zip(new.tables, ref_logps))
+    kl_after = sum(max(kl.value, 0.0) for kl in new.kls)
     mean_reward = sum(all_rewards) / len(all_rewards) if all_rewards else 0.0
     return new, StepStats(mean_reward=mean_reward, kl=kl_after, clip_fraction=clip_fraction)
 
@@ -507,21 +503,21 @@ def run_simulation(
 ) -> SimulationResult:
     """Train the toy policy on a scenario; reproducible per seed.
 
-    The KL reference is the initial (uniform) policy. Each step derives its
-    own RNG stream from (seed, step), so curves are identical bit for bit
-    across runs with the same inputs. Policies are immutable values: each
-    step samples from the tables of the policy the last one returned, and
-    one reward memo serves the whole run. The result's policy carries the
-    final tables.
+    The KL reference is the initial (uniform) policy, its own reference,
+    which every policy stepped from it carries. Each step derives its own
+    RNG stream from (seed, step), so curves are identical bit for bit across
+    runs with the same inputs. Each step samples from the tables of the
+    policy the last one returned and reads its KL terms, and one reward memo
+    serves the whole run. The result's policy carries the final tables.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     fn = reward_fn if reward_fn is not None else standard_reward_fn()
-    policy = ref = ToyPolicy(scenario.prompts)
+    policy = ToyPolicy(scenario.prompts)
     memo: dict[tuple[int, SampledResponse], float] = {}
     curve: list[StepStats] = []
     for t in range(steps):
-        policy, stats = grpo_step(policy, fn, cfg, rng_seed=(seed, t), ref=ref, memo=memo)
+        policy, stats = grpo_step(policy, fn, cfg, rng_seed=(seed, t), memo=memo)
         curve.append(stats)
     return SimulationResult(scenario.name, curve, policy)
 
@@ -672,6 +668,6 @@ def load_scenario(path: str | Path) -> Scenario:
     with open(path, "r", encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)

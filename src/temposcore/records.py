@@ -104,7 +104,7 @@ def iter_dataset(path: str | Path) -> Iterator[Sample]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
                 raise DatasetError(line_no, f"invalid JSON: {exc}") from exc
             yield sample_from_record(record, line_no)
 

@@ -113,7 +113,7 @@ def test_c5_gradient_check():
     worst = 0.0
     for _ in range(100):
         batch = random_gradient_config(rng, cfg)
-        _, analytic, _, _ = policy_objective(*batch, cfg)
+        _, analytic, _ = policy_objective(*batch, cfg)
         numeric = finite_difference(batch[0], lambda p: policy_objective(p, *batch[1:], cfg)[0])
         flat_a = np.concatenate([analytic[k].ravel() for k in sorted(analytic)])
         flat_n = np.concatenate([numeric[k].ravel() for k in sorted(numeric)])

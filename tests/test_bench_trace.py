@@ -60,5 +60,7 @@ def test_traced_simulate_matches_untraced_output(tmp_path, capsys):
     assert output == untraced
     names = [r["name"] for r in records]
     assert names.count("grpo.grpo_step") == steps
-    # the reference's tables, then one table per step (tg_basic has one prompt)
+    # the initial policy's tables and KL, then one of each per step (tg_basic has one prompt)
     assert names.count("grpo.ToyPolicy.head_log_probs") == steps + 1
+    assert names.count("grpo.prompt_kl") == steps + 1
+    assert names.count("grpo.objective_and_gradients") == steps

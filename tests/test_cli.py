@@ -85,6 +85,28 @@ class TestDatasetIO:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command", ["eval", "reward"])
+    def test_deeply_nested_line_is_invalid_json(self, tmp_path, capsys, command):
+        """The decoder gives up on 2,000 nested arrays with a RecursionError."""
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 2000 + "\n")
+        assert main([command, "--dataset", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 1: invalid JSON: ")
+
+    @pytest.mark.parametrize("command", ["eval", "reward"])
+    def test_over_long_integer_is_invalid_json(self, tmp_path, capsys, command):
+        """A 5,000-digit integer passes the JSON grammar but not int()'s digit limit."""
+        path = tmp_path / "long.jsonl"
+        good = {"id": "a", "task": "TG", "gt_intervals": [[0, 1]], "prediction": "x"}
+        path.write_text(json.dumps(good) + "\n" + '{"id": "b", "task": "TG", "gt_intervals": '
+                        '[[0, 1' + "0" * 5000 + ']], "prediction": "x"}\n')
+        assert main([command, "--dataset", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: invalid JSON: Exceeds the limit")
+
     def test_bad_line_number_reported(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         good = {"id": "a", "task": "TG", "gt_intervals": [[0, 1]], "prediction": "x"}
@@ -398,6 +420,26 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err == f"error: prompt 1: {message}\n"
         assert err.count("prompt ") == 1
+
+    def test_tg_prompt_takes_one_ground_truth_interval(self, tmp_path, capsys):
+        """As a dataset TG line does; two would cap the best reward at 1.5, not 2.0."""
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"prompts": [{
+            "task": "TG", "duration": 100, "grid_step": 10, "gt_intervals": [[20, 30], [50, 60]],
+        }]}))
+        assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: prompt 0: TG prompts take exactly one ground-truth interval\n"
+        )
+
+    def test_deeply_nested_scenario_is_invalid_json(self, tmp_path, capsys):
+        """The decoder gives up on 2,000 nested objects with a RecursionError."""
+        path = tmp_path / "deep.json"
+        path.write_text('{"a": ' * 2000)
+        assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: scenario file is not valid JSON: ")
 
     @pytest.mark.parametrize(
         "grpo, flags, message",

@@ -157,7 +157,9 @@ def random_prompt(rng: np.random.Generator) -> PromptSpec:
 
 
 def random_gradient_config(rng: np.random.Generator, cfg: GrpoConfig):
-    """A random (policy, responses, advantages, old-logps, ref) tuple.
+    """A random (policy, responses, advantages, old-logps) tuple.
+
+    The policy's KL reference is a third noisy policy of its own.
 
     Configurations whose ratios sit within 1e-3 of a clip boundary are
     rejected: the objective has a kink there and central differences are
@@ -186,7 +188,8 @@ def random_gradient_config(rng: np.random.Generator, cfg: GrpoConfig):
         )
         if near_kink:
             continue
-        return policy, responses, advantages, old_lps, ref.tables[0].logps
+        policy = ToyPolicy(policy.prompts, policy.params, [ref.tables[0].logps])
+        return policy, responses, advantages, old_lps
 
 
 def noisy(policy, rng, scale):
@@ -196,15 +199,17 @@ def noisy(policy, rng, scale):
     ])
 
 
-def policy_objective(policy, responses, advantages, old_lps, ref, cfg):
-    """``objective_and_gradients`` on the head tables of prompt 0 of ``policy``."""
-    return objective_and_gradients(policy.tables[0], responses, advantages, old_lps, ref, cfg)
+def policy_objective(policy, responses, advantages, old_lps, cfg):
+    """``objective_and_gradients`` on the head tables and KL terms of prompt 0 of ``policy``."""
+    return objective_and_gradients(policy.tables[0], policy.kls[0], responses, advantages,
+                                   old_lps, cfg)
 
 
 def finite_difference(policy, evaluate, h=1e-6):
     """Central differences of ``evaluate`` in each logit of the one-prompt ``policy``.
 
-    Each side is a new policy whose logits differ from ``policy``'s in one entry.
+    Each side is a new policy with ``policy``'s reference whose logits differ
+    from ``policy``'s in one entry.
     """
     logits = policy.params[0]
     grads = {}
@@ -215,7 +220,9 @@ def finite_difference(policy, evaluate, h=1e-6):
             for step in (h, -h):
                 moved = z.copy()
                 moved.flat[k] += step
-                sides.append(evaluate(ToyPolicy(policy.prompts, [{**logits, name: moved}])))
+                sides.append(evaluate(
+                    ToyPolicy(policy.prompts, [{**logits, name: moved}], policy.ref_logps)
+                ))
             g.flat[k] = (sides[0] - sides[1]) / (2 * h)
         grads[name] = g
     return grads
@@ -226,7 +233,7 @@ def test_analytic_gradient_matches_finite_differences():
     cfg = GrpoConfig(clip_eps=0.2, kl_beta=0.1)
     for _ in range(25):
         batch = random_gradient_config(rng, cfg)
-        _, analytic, _, _ = policy_objective(*batch, cfg)
+        _, analytic, _ = policy_objective(*batch, cfg)
         numeric = finite_difference(batch[0], lambda p: policy_objective(p, *batch[1:], cfg)[0])
         flat_a = np.concatenate([analytic[k].ravel() for k in sorted(analytic)])
         flat_n = np.concatenate([numeric[k].ravel() for k in sorted(numeric)])
@@ -347,6 +354,55 @@ def test_head_tables_once_per_prompt_step(monkeypatch, steps):
             assert all(a[k].tobytes() == b[k].tobytes() for k in b)
 
 
+@pytest.mark.parametrize("steps", [0, 3])
+def test_kl_once_per_prompt_step(monkeypatch, steps):
+    """One ``prompt_kl`` per prompt for the initial policy, then one per prompt-step.
+
+    The objective and the step's reported KL read the terms the policy built.
+    The returned policy's terms equal fresh ones against the initial policy.
+    """
+    scenario = load_scenario(SCENARIOS / "multitask_five.json")
+    calls = []
+    kl = grpo.prompt_kl
+
+    def counting(cur, ref):
+        calls.append(ref)
+        return kl(cur, ref)
+
+    monkeypatch.setattr(grpo, "prompt_kl", counting)
+    res = run_simulation(scenario, GrpoConfig(), steps=steps, seed=3)
+    assert len(calls) == len(scenario.prompts) * (steps + 1)
+    initial = [HeadTables.of(ToyPolicy(scenario.prompts).head_log_probs(i))
+               for i in range(len(scenario.prompts))]
+    for got, tables, ref in zip(res.policy.kls, res.policy.tables, initial, strict=True):
+        expected = kl(tables, ref.logps)
+        assert got.value == expected.value
+        assert got.slot_scores.tobytes() == expected.slot_scores.tobytes()
+
+
+def test_policy_without_reference_is_its_own(tg_scenario):
+    """A policy built without ``ref_logps`` is its reference; a step hands it on.
+
+    The KL terms are read-only, like the tables, and a reference must have
+    one entry per prompt.
+    """
+    params = zero_params(tg_scenario.prompts)
+    params[0]["slots"][0, 3] = 2.0
+    policy = ToyPolicy(tg_scenario.prompts, params)
+    assert policy.ref_logps[0] is policy.tables[0].logps
+    assert [kl.value for kl in policy.kls] == [0.0]
+    new, stats = grpo_step(policy, standard_reward_fn(), GrpoConfig(), rng_seed=3)
+    assert new.ref_logps[0] is policy.ref_logps[0]
+    assert stats.kl == new.kls[0].value > 0.0
+    arrays = [z for z in new.kls[0] if isinstance(z, np.ndarray)]
+    assert len(arrays) == 3  # count scores, survival, slot scores (no answer head)
+    for z in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 0.0
+    with pytest.raises(ValueError):
+        ToyPolicy(tg_scenario.prompts, ref_logps=[])
+
+
 def test_large_beta_stays_closer_to_reference(tg_scenario):
     """Paired runs, identical seed and lr, beta 0 vs 1e6.
 
@@ -358,15 +414,13 @@ def test_large_beta_stays_closer_to_reference(tg_scenario):
     assert base_kl > 0.01
 
     def continued(beta):
-        policy = warm.policy
+        policy = warm.policy  # its reference is the run's uniform initial policy
         ref = ToyPolicy(tg_scenario.prompts)
         cfg = GrpoConfig(kl_beta=beta, learning_rate=1e-7)
         for t in range(20):
-            policy, stats = grpo_step(
-                policy, standard_reward_fn(), cfg, rng_seed=(99, t), ref=ref
-            )
+            policy, stats = grpo_step(policy, standard_reward_fn(), cfg, rng_seed=(99, t))
         return sum(
-            prompt_kl(HeadTables.of(policy.head_log_probs(i)), ref.head_log_probs(i))
+            prompt_kl(HeadTables.of(policy.head_log_probs(i)), ref.head_log_probs(i)).value
             for i in range(len(policy.prompts))
         )
 
@@ -393,10 +447,9 @@ def test_constant_reward_still_counts_clipping(tg_scenario):
     ref = ToyPolicy(tg_scenario.prompts)
     params = zero_params(tg_scenario.prompts)
     params[0]["slots"][0, 0] += 3.0
-    policy = ToyPolicy(tg_scenario.prompts, params)
+    policy = ToyPolicy(tg_scenario.prompts, params, [t.logps for t in ref.tables])
     cfg = GrpoConfig(kl_beta=1.0, learning_rate=1.0)
-    _, stats = grpo_step(policy, lambda text, prompt: 1.0, cfg, rng_seed=3, ref=ref,
-                         inner_steps=4)
+    _, stats = grpo_step(policy, lambda text, prompt: 1.0, cfg, rng_seed=3, inner_steps=4)
     assert stats.clip_fraction == 0.625
 
 
@@ -440,13 +493,12 @@ _INNER_STEPS_PIN = {
 def test_inner_steps_pinned_bitwise(ref_kind):
     scenario = load_scenario(SCENARIOS / "multitask_five.json")
     policy = ToyPolicy(scenario.prompts)
-    ref = ToyPolicy(scenario.prompts) if ref_kind == "explicit ref" else None
     cfg = GrpoConfig(learning_rate=2.0, kl_beta=0.2)
     stats = []
     for t in range(6):
-        policy, s = grpo_step(
-            policy, standard_reward_fn(), cfg, rng_seed=(17, t), ref=ref, inner_steps=4
-        )
+        if ref_kind == "input as ref":
+            policy = ToyPolicy(policy.prompts, policy.params)  # its own reference
+        policy, s = grpo_step(policy, standard_reward_fn(), cfg, rng_seed=(17, t), inner_steps=4)
         stats.append(tuple(float(v).hex() for v in (s.mean_reward, s.kl, s.clip_fraction)))
     digest = hashlib.sha256()
     for head in policy.params:
@@ -473,14 +525,15 @@ def _one_slot_prompt() -> PromptSpec:
     ],
 )
 def test_clipped_surrogate_worked_examples(adv, ratio, objective, n_clipped):
-    cur = HeadTables.of(ToyPolicy([_one_slot_prompt()]).head_log_probs(0))
+    policy = ToyPolicy([_one_slot_prompt()])  # its own reference
+    cur, kl = policy.tables[0], policy.kls[0]
     resp = SampledResponse(slots=(0,))
     old = response_log_prob(cur.logps, resp) - math.log(ratio)
     cfg = GrpoConfig(clip_eps=0.2, kl_beta=0.0)
-    got, grads, kl, clipped = objective_and_gradients(cur, [resp], [adv], [old], cur.logps, cfg)
+    got, grads, clipped = objective_and_gradients(cur, kl, [resp], [adv], [old], cfg)
     assert got == pytest.approx(objective, abs=1e-12)
     assert clipped == n_clipped
-    assert kl == 0.0
+    assert kl.value == 0.0
     if clipped or adv == 0.0:
         assert all(not g.any() for g in grads.values())
 
@@ -488,11 +541,11 @@ def test_clipped_surrogate_worked_examples(adv, ratio, objective, n_clipped):
 def test_kl_worked_example_and_penalty():
     cur = HeadTables.of({"count": np.zeros(1), "slots": np.log([[0.5, 0.5]])})
     ref = {"count": np.zeros(1), "slots": np.log([[0.75, 0.25]])}
-    assert prompt_kl(cur, ref) == pytest.approx(0.1438, abs=1e-4)
+    kl = prompt_kl(cur, ref)
+    assert kl.value == pytest.approx(0.1438, abs=1e-4)
     cfg = GrpoConfig(kl_beta=0.5)
-    objective, _, kl, _ = objective_and_gradients(cur, [], [], [], ref, cfg)
-    assert kl == prompt_kl(cur, ref)
-    assert objective == -0.5 * kl
+    objective, _, _ = objective_and_gradients(cur, kl, [], [], [], cfg)
+    assert objective == -0.5 * kl.value
 
 
 @pytest.mark.parametrize("scale", [0.1, 1.0, 8.0, 40.0])
@@ -560,10 +613,10 @@ def test_run_matches_independent_steps():
         return lambda text, prompt: calls.append(text) or scorer(text, prompt)
 
     res = run_simulation(scenario, cfg, steps=12, seed=4, reward_fn=counted(run_calls))
-    policy = ref = ToyPolicy(scenario.prompts)
+    policy = ToyPolicy(scenario.prompts)
     curve = []
     for t in range(12):
-        policy, stats = grpo_step(policy, counted(step_calls), cfg, rng_seed=(4, t), ref=ref)
+        policy, stats = grpo_step(policy, counted(step_calls), cfg, rng_seed=(4, t))
         curve.append((stats.mean_reward, stats.kl, stats.clip_fraction))
     assert [(p.mean_reward, p.kl, p.clip_fraction) for p in res.curve] == curve
     # a step on its own scores each distinct response of a group; the run, each one once
@@ -587,7 +640,7 @@ def test_policy_probabilities_sum_to_one(tg_scenario):
 def test_prompt_kl_zero_for_identical_policies(tg_scenario):
     policy = ToyPolicy(tg_scenario.prompts)
     logps = policy.head_log_probs(0)
-    assert prompt_kl(HeadTables.of(logps), logps) == pytest.approx(0.0, abs=1e-12)
+    assert prompt_kl(HeadTables.of(logps), logps).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_response_log_prob_matches_manual():
