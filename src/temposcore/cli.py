@@ -39,6 +39,7 @@ from .records import (
     render_reward_record,
 )
 from .rewards import (
+    MatchResult,
     TalConfig,
     _dp_table,
     dp_match,
@@ -136,6 +137,13 @@ def parse_inline_intervals(text: str) -> tuple[Interval, ...]:
     return tuple(out)
 
 
+def _match_text(m: MatchResult) -> tuple[str, str]:
+    """A match's scores and its pairs ("-" for none), as the match table prints them."""
+    pairs = " ".join(f"p{i}-g{j}(iou={v:.4f})" for (i, j), v in zip(m.pairs, m.pair_ious))
+    scores = f"siou={m.siou:.4f} precision={m.precision:.4f} recall={m.recall:.4f} f1={m.f1:.4f}"
+    return scores, pairs or "-"
+
+
 def _match_table(preds: tuple[Interval, ...], gts: tuple[Interval, ...], compare: bool) -> str:
     sp = sorted(preds)
     sg = sorted(gts)
@@ -146,8 +154,7 @@ def _match_table(preds: tuple[Interval, ...], gts: tuple[Interval, ...], compare
     lines.extend(f"  g{j}: {iv.start:g} to {iv.end:g}" for j, iv in enumerate(sg))
 
     lines.append("iou matrix (rows preds, cols gts):")
-    header = "      " + " ".join(f"{f'g{j}':>6}" for j in range(len(sg)))
-    lines.append(header)
+    lines.append("      " + " ".join(f"{f'g{j}':>6}" for j in range(len(sg))))
     for i, p in enumerate(sp):
         row = " ".join(f"{iou(p, g):6.4f}" for g in sg)
         lines.append(f"  p{i:<3} {row}")
@@ -157,28 +164,14 @@ def _match_table(preds: tuple[Interval, ...], gts: tuple[Interval, ...], compare
         lines.append("  " + " ".join(f"{v:6.4f}" for v in row))
 
     dp = dp_match(preds, gts)
-    pair_text = (
-        " ".join(f"p{i}-g{j}(iou={v:.4f})" for (i, j), v in zip(dp.pairs, dp.pair_ious))
-        if dp.pairs
-        else "-"
-    )
-    lines.append(f"pairs: {pair_text}")
-    lines.append(
-        f"dp: siou={dp.siou:.4f} precision={dp.precision:.4f} "
-        f"recall={dp.recall:.4f} f1={dp.f1:.4f}"
-    )
+    scores, pairs = _match_text(dp)
+    lines.append(f"pairs: {pairs}")
+    lines.append(f"dp: {scores}")
 
     if compare:
         seq = sequential_match(preds, gts)
-        seq_pairs = (
-            " ".join(f"p{i}-g{j}(iou={v:.4f})" for (i, j), v in zip(seq.pairs, seq.pair_ious))
-            if seq.pairs
-            else "-"
-        )
-        lines.append(
-            f"sequential: siou={seq.siou:.4f} precision={seq.precision:.4f} "
-            f"recall={seq.recall:.4f} f1={seq.f1:.4f} pairs: {seq_pairs}"
-        )
+        scores, pairs = _match_text(seq)
+        lines.append(f"sequential: {scores} pairs: {pairs}")
         ok = "ok" if dp.siou >= seq.siou else "VIOLATED"
         lines.append(f"dominance: dp.siou >= sequential.siou -> {ok} "
                      f"({dp.siou:.4f} >= {seq.siou:.4f})")

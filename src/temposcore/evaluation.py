@@ -21,20 +21,16 @@ failed regardless of whether anything was still extractable.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .intervals import Interval, _unchecked, iou
-from .parsing import ParseError, TaskKind, read
+from .intervals import Interval, _left_sum, _unchecked, iou
+from .parsing import ParseError, TaskKind, _LONE_SURROGATE_RE, _WHITESPACE_RE, read
 from .rewards import _prf, classification_reward, dp_match, reward_type1, reward_type2
 
 RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
 TAL_THRESHOLDS = (0.1, 0.3, 0.5, 0.7)
 TAL_PROTOCOL = "dp-tp-f1-v1"
-
-# matches exactly what str.isspace accepts
-_WHITESPACE_RE = re.compile(r"\s")
 
 
 @dataclass(frozen=True)
@@ -52,6 +48,8 @@ class Sample:
         # one record per output line: an id must not break or split it
         if _WHITESPACE_RE.search(self.id):
             raise ValueError(f"id {self.id!r} must not contain whitespace")
+        if _LONE_SURROGATE_RE.search(self.id):
+            raise ValueError(f"id {self.id!r} cannot be encoded as UTF-8")
         if not self.gt_intervals:
             raise ValueError(f"sample {self.id}: gt_intervals must be non-empty")
         if (self.gt_answer is not None) != (self.task is TaskKind.GVQA):
@@ -102,7 +100,7 @@ def _predicted(
 
 
 def _mean(xs: Sequence[float]) -> float:
-    return sum(xs) / len(xs)
+    return _left_sum(xs) / len(xs)
 
 
 def _recall_map(scores: Sequence[float], thresholds: Sequence[float]) -> dict[float, float]:

@@ -28,9 +28,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .evaluation import _WHITESPACE_RE
-from .intervals import Interval, _finite_float, _interval_from_pair
-from .parsing import ParsedOutput, TaskKind, serialize
+from .intervals import Interval, _finite_float, _interval_from_pair, _left_sum
+from .parsing import (
+    ParsedOutput, TaskKind, _LONE_SURROGATE_RE, _WHITESPACE_RE, _is_answer_text, serialize
+)
 from .rewards import TalConfig, total_reward
 
 
@@ -139,13 +140,13 @@ class PromptSpec:
             if not self.options:
                 raise ScenarioError("GVQA prompts need answer options")
             for option in self.options:
-                # what serialize needs of an answer text
-                if (not isinstance(option, str) or not option or option != option.strip()
-                        or "<" in option or ">" in option):
+                if not _is_answer_text(option):  # what serialize needs of an answer text
                     raise ScenarioError(
                         f"GVQA option {option!r} must be a non-empty, tag-free string "
                         "without surrounding whitespace"
                     )
+                if _LONE_SURROGATE_RE.search(option):
+                    raise ScenarioError(f"GVQA option {option!r} cannot be encoded as UTF-8")
             if self.gt_answer not in self.options:
                 raise ScenarioError("GVQA gt_answer must be one of the options")
         elif self.options or self.gt_answer is not None:
@@ -469,8 +470,8 @@ def grpo_step(
         new = ToyPolicy(policy.prompts, params, policy.ref_logps)
         clip_fraction = clipped / total if total else 0.0
 
-    kl_after = sum(max(kl.value, 0.0) for kl in new.kls)
-    mean_reward = sum(all_rewards) / len(all_rewards) if all_rewards else 0.0
+    kl_after = _left_sum(max(kl.value, 0.0) for kl in new.kls)
+    mean_reward = _left_sum(all_rewards) / len(all_rewards) if all_rewards else 0.0
     return new, StepStats(mean_reward=mean_reward, kl=kl_after, clip_fraction=clip_fraction)
 
 
@@ -654,6 +655,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     # the name is printed into simulate's scenario= line: it must not break or split it
     if _WHITESPACE_RE.search(name):
         raise ScenarioError(f"scenario name {name!r} must not contain whitespace")
+    if _LONE_SURROGATE_RE.search(name):
+        raise ScenarioError(f"scenario name {name!r} cannot be encoded as UTF-8")
     grpo = _grpo_from_dict(d["grpo"]) if "grpo" in d else None
     specs = []
     for i, p in enumerate(prompts):

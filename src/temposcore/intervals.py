@@ -119,7 +119,15 @@ class IntervalSet:
 
     @property
     def measure(self) -> float:
-        return sum(iv.length for iv in self.intervals)
+        return _left_sum(iv.length for iv in self.intervals)
+
+
+def _left_sum(xs: Iterable[float]) -> float:
+    """``xs`` added left to right from 0.0: the order of ``sum()`` of floats before Python 3.12."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def iou(a: Interval, b: Interval) -> float:
@@ -131,7 +139,8 @@ def iou(a: Interval, b: Interval) -> float:
     """
     a_start, a_end = a
     b_start, b_end = b
-    inter = min(a_end, b_end) - max(a_start, b_start)
+    # min and max written out, with their ties (the first argument wins)
+    inter = (b_end if b_end < a_end else a_end) - (b_start if b_start > a_start else a_start)
     if inter < 0.0:
         inter = 0.0
     union = (a_end - a_start) + (b_end - b_start) - inter

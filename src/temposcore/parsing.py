@@ -75,6 +75,11 @@ _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _PAIR_RE = re.compile(rf"(?:(?<!\d)|(?=\.))({_NUMBER})\s*to\s*({_NUMBER})", re.IGNORECASE)
 _ENTRY_RE = re.compile(rf"\s*({_NUMBER})\s*to\s*({_NUMBER})\s*\Z", re.IGNORECASE)
 
+# Printed text holds no lone surrogate (JSON's "\ud800"), which UTF-8 cannot encode;
+# an id or scenario name, one key=value field, holds no str.isspace character either.
+_WHITESPACE_RE = re.compile(r"\s")
+_LONE_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
 _STRICT_SINGLE_RE = re.compile(r"\A\s*<answer>(.*?)</answer>\s*\Z", re.DOTALL)
 _STRICT_GVQA_RE = re.compile(
     r"\A\s*<answer>(.*?)</answer>\s*<glue>(.*?)</glue>\s*\Z", re.DOTALL
@@ -199,6 +204,12 @@ def _format_ts(value: float) -> str:
     return repr(float(value))
 
 
+def _is_answer_text(text: object) -> bool:
+    """The GVQA answer-text rule: a non-empty string, strip-stable, with no ``<`` or ``>``."""
+    return (isinstance(text, str) and text != "" and text == text.strip()
+            and "<" not in text and ">" not in text)
+
+
 def serialize(p: ParsedOutput, task: TaskKind) -> str:
     """Render a ParsedOutput in canonical template form.
 
@@ -207,9 +218,9 @@ def serialize(p: ParsedOutput, task: TaskKind) -> str:
     whitespace (parsing strips it). Violations of the task arity are rejected.
     """
     if task is TaskKind.GVQA:
-        if p.answer_text is None or not p.answer_text:
+        if not p.answer_text:
             raise ValueError("GVQA output requires non-empty answer text")
-        if p.answer_text != p.answer_text.strip() or "<" in p.answer_text or ">" in p.answer_text:
+        if not _is_answer_text(p.answer_text):
             raise ValueError("GVQA answer text must be strip-stable and tag-free")
     else:
         if p.answer_text is not None:

@@ -47,11 +47,9 @@ _TASKS = {task.value: task for task in TaskKind}
 def sample_from_record(record: dict, line_no: int) -> Sample:
     if not isinstance(record, dict):
         raise DatasetError(line_no, "record must be a JSON object")
-    missing = _REQUIRED_FIELDS - record.keys()
-    if missing:
+    if missing := _REQUIRED_FIELDS - record.keys():
         raise DatasetError(line_no, f"missing fields: {', '.join(sorted(missing))}")
-    unknown = record.keys() - _ALL_FIELDS
-    if unknown:
+    if unknown := record.keys() - _ALL_FIELDS:
         raise DatasetError(line_no, f"unexpected fields: {', '.join(sorted(unknown))}")
     if not isinstance(record["id"], str) or not record["id"]:
         raise DatasetError(line_no, "id must be a non-empty string")
@@ -94,17 +92,19 @@ def sample_from_record(record: dict, line_no: int) -> Sample:
 def iter_dataset(path: str | Path) -> Iterator[Sample]:
     """Yield the samples of a JSONL dataset in file order, one line at a time.
 
-    Each line is decoded and checked as it is reached, so a malformed line
-    raises DatasetError (naming it) only after every earlier sample has
-    been yielded.
+    Each line is decoded and checked as it is reached, so a malformed line,
+    bytes that are not UTF-8 included, raises DatasetError (naming it) only
+    after every earlier sample has been yielded.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
+                if not line.isascii():  # redo strictly what surrogateescape let through
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            except (ValueError, RecursionError) as exc:  # both decode errors are ValueErrors
                 raise DatasetError(line_no, f"invalid JSON: {exc}") from exc
             yield sample_from_record(record, line_no)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .intervals import Interval, _finite_float, iou, merge, set_iou
+from .intervals import Interval, _finite_float, _left_sum, iou, merge, set_iou
 from .parsing import ParseError, TaskKind, read
 
 
@@ -105,7 +105,7 @@ def reward_type1(preds: Sequence[Interval], gts: Sequence[Interval]) -> float:
     if not preds:
         return 0.0
     n = min(len(preds), len(gts))
-    total = sum(iou(preds[i], gts[i]) for i in range(n))
+    total = _left_sum(iou(preds[i], gts[i]) for i in range(n))
     return total / max(len(preds), len(gts))
 
 
@@ -138,11 +138,10 @@ def _dp_table(sp: list[Interval], sg: list[Interval]) -> tuple[list[list[float]]
 
     ``d[i][j]`` is the best summed IoU of the first i predictions against the
     first j ground truths. Prediction i also gets a window ``(lo, ious)``:
-    ``ious[k]`` is its IoU with ground truth ``lo + k``, computed as
-    :func:`iou` does, and its IoU with every ground truth outside the window
-    is exactly 0.0. A non-zero IoU needs ``g.start <= p.end`` (bounded by a
-    bisect on the sorted starts) and ``g.end >= p.start`` (bounded by a
-    bisect on the running maximum of the ends).
+    ``ious[k]`` is its :func:`iou` with ground truth ``lo + k``; outside the
+    window its IoU is exactly 0.0. A non-zero IoU needs ``g.start <= p.end``
+    (bounded by a bisect on the sorted starts) and ``g.end >= p.start``
+    (bounded by a bisect on the running maximum of the ends).
 
     A zero cell never changes the recurrence: ``d[i-1][j-1] + 0.0`` never
     beats ``d[i-1][j]`` because rows are non-decreasing. So row i equals row
@@ -152,30 +151,19 @@ def _dp_table(sp: list[Interval], sg: list[Interval]) -> tuple[list[list[float]]
     """
     n = len(sg)
     g_start = [g.start for g in sg]
-    g_end = [g.end for g in sg]
-    reach = list(accumulate(g_end, max))
+    reach = list(accumulate((g.end for g in sg), max))
     prev = [0.0] * (n + 1)
     d = [prev]
     windows: list[_Window] = []
     for p in sp:
-        ps, pe = p.start, p.end
-        lo = bisect_left(reach, ps)
-        hi = bisect_right(g_start, pe)
+        lo = bisect_left(reach, p.start)
+        hi = bisect_right(g_start, p.end)
         ious: list[float] = []
         windows.append((lo, ious))
         row = prev[:]
         left = row[lo]
         for j in range(lo, hi):
-            gs, ge = g_start[j], g_end[j]
-            # iou(p, g) on plain floats, with min/max tie order kept
-            inter = (ge if ge < pe else pe) - (gs if gs > ps else ps)
-            if inter < 0.0:
-                inter = 0.0
-            union = (pe - ps) + (ge - gs) - inter
-            if union <= 0.0:
-                v = 1.0 if (ps == gs and pe == ge) else 0.0
-            else:
-                v = inter / union
+            v = iou(p, sg[j])
             ious.append(v)
             best = prev[j] + v
             if best < left:
@@ -238,8 +226,7 @@ def dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
     pair_ious.reverse()
 
     siou = d[m][n]
-    precision, recall, f1 = _prf(siou, m, n)
-    return MatchResult(tuple(pairs), tuple(pair_ious), siou, precision, recall, f1)
+    return MatchResult(tuple(pairs), tuple(pair_ious), siou, *_prf(siou, m, n))
 
 
 def sequential_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
@@ -260,8 +247,7 @@ def sequential_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> Matc
         if v > 0.0:
             pairs.append((i, i))
             pair_ious.append(v)
-    precision, recall, f1 = _prf(siou, len(sp), len(sg))
-    return MatchResult(tuple(pairs), tuple(pair_ious), siou, precision, recall, f1)
+    return MatchResult(tuple(pairs), tuple(pair_ious), siou, *_prf(siou, len(sp), len(sg)))
 
 
 def _tal_terms(

@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import stat
@@ -106,6 +107,39 @@ class TestDatasetIO:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: line 2: invalid JSON: Exceeds the limit")
+
+    @pytest.mark.parametrize("command", ["eval", "reward"])
+    def test_non_utf8_bytes_name_their_line(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.jsonl"
+        good = {"id": "a", "task": "TG", "gt_intervals": [[0, 1]], "prediction": "x"}
+        path.write_bytes(json.dumps(good).encode() + b'\n{"id": "b\xff", "task": "TG"}\n')
+        assert main([command, "--dataset", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 2: invalid JSON: 'utf-8' codec can't decode byte "
+                                "0xff in position 9: invalid start byte\n")
+
+    def test_non_utf8_bytes_are_reached_after_earlier_lines_are_scored(self, tmp_path, capsys):
+        """The bytes are decoded line by line, not ahead of the lines before them."""
+        path = tmp_path / "late.jsonl"
+        blank = {"id": "g", "task": "GVQA", "gt_intervals": [[1, 2]], "gt_answer": " ",
+                 "prediction": "<answer>B</answer><glue>1 to 2</glue>"}
+        path.write_bytes(json.dumps(blank).encode() + b"\n\xff\n")
+        assert main(["reward", "--dataset", str(path)]) == 2
+        assert capsys.readouterr().err == "error: ground-truth answer must be non-empty\n"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_endings_and_utf8_text_read_as_before(self, tmp_path, capsys, newline):
+        path = tmp_path / "endings.jsonl"
+        records = [{"id": f"é{i}", "task": "TG", "gt_intervals": [[0, 1]],
+                    "prediction": "déjà vu <answer>0 to 1</answer>"} for i in range(3)]
+        text = newline.join(json.dumps(r, ensure_ascii=False) for r in records) + newline
+        path.write_bytes(text.encode("utf-8"))
+        assert [s.id for s in iter_dataset(path)] == ["é0", "é1", "é2"]
+        assert main(["reward", "--dataset", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == (
+            "id=é2 task=TG format=1 loc=1.0000 cls=- total=2.0000"
+        )
 
     def test_bad_line_number_reported(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -421,6 +455,27 @@ class TestSimulateCommand:
         assert err == f"error: prompt 1: {message}\n"
         assert err.count("prompt ") == 1
 
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ({"name": "a\ud800"}, "scenario name 'a\\ud800' cannot be encoded as UTF-8"),
+            ({"options": ["A", "B\udfff"]},
+             "prompt 0: GVQA option 'B\\udfff' cannot be encoded as UTF-8"),
+        ],
+        ids=["name", "option"],
+    )
+    def test_lone_surrogate_name_or_option_is_refused_on_load(self, tmp_path, capsys,
+                                                              scenario, message):
+        path = tmp_path / "bad.json"
+        prompt = {"task": "GVQA", "duration": 10, "grid_step": 5, "gt_intervals": [[0, 5]],
+                  "gt_answer": "A", "options": scenario.pop("options", ["A", "B"])}
+        path.write_text(json.dumps({**scenario, "prompts": [prompt]}))  # as a JSON escape
+        out = tmp_path / "out.txt"
+        argv = ["simulate", "--scenario", str(path), "--steps", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_tg_prompt_takes_one_ground_truth_interval(self, tmp_path, capsys):
         """As a dataset TG line does; two would cap the best reward at 1.5, not 2.0."""
         path = tmp_path / "two.json"
@@ -578,6 +633,18 @@ class TestStreamedDatasetErrors:
             sample_from_record(record, line_no=3)
         assert str(exc.value) == f"line 3: unknown task tag {tag!r}"
 
+    @pytest.mark.parametrize("command", ["eval", "reward"])
+    def test_lone_surrogate_id_is_refused_on_load(self, tmp_path, capsys, command):
+        """JSON's "\\ud800" escape gives an id that no output line can encode."""
+        path = self._dataset(tmp_path, '{"id": "a\\ud800", "task": "TG", '
+                                       '"gt_intervals": [[0, 1]], "prediction": "x"}')
+        out = tmp_path / "out.txt"
+        assert main([command, "--dataset", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 5: id 'a\\ud800' cannot be encoded as UTF-8\n"
+        )
+        assert not out.exists()
+
     BLANK = {"id": "g2", "task": "GVQA", "gt_intervals": [[1.0, 2.0]], "gt_answer": " \t",
              "prediction": "no answer block"}
 
@@ -614,3 +681,35 @@ def test_fixture_script_check_finds_no_drift():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "fixtures match\n"
+
+
+def test_package_sums_no_floats_with_builtin_sum(monkeypatch, capsys):
+    """Every float total goes through ``intervals._left_sum``.
+
+    Since Python 3.12 the built-in ``sum()`` adds floats with compensation,
+    so a float ``sum()`` would make seeded outputs depend on the interpreter.
+    Here each package module's ``sum`` refuses float items, so a new one
+    fails on 3.10 and 3.11 too.
+    """
+    def int_sum(items, start=0):
+        items = list(items)
+        assert not any(isinstance(x, float) for x in [start, *items]), "a float sum()"
+        return builtins.sum(items, start)
+
+    for name, module in list(sys.modules.items()):
+        if name == "temposcore" or name.startswith("temposcore."):
+            monkeypatch.setattr(module, "sum", int_sum, raising=False)
+    for corpus, report in [("mixed_corpus.jsonl", "golden_report.txt"),
+                           ("varied_corpus.jsonl", "varied_report.txt")]:
+        assert main(["eval", "--dataset", str(FIXTURES / corpus)]) == 0
+        assert capsys.readouterr().out == (FIXTURES / report).read_text()
+        assert main(["reward", "--dataset", str(FIXTURES / corpus), "--tal-normalize"]) == 0
+        assert capsys.readouterr().out.count("\n") == len(
+            (FIXTURES / corpus).read_text().splitlines())
+    assert main(["match", "--preds", "0-4,6-10", "--gts", "2-8,9-12", "--compare"]) == 0
+    assert "dominance: dp.siou >= sequential.siou -> ok" in capsys.readouterr().out
+    assert main(["simulate", "--scenario", str(SCENARIOS / "multitask_five.json"),
+                 "--steps", "10", "--seed", "3"]) == 0
+    steps = capsys.readouterr().out.splitlines()[1:11]
+    golden = (FIXTURES / "simulate_multitask_five_s3.txt").read_text().splitlines()
+    assert steps == golden[1:11]

@@ -227,6 +227,12 @@ class TestAggregate:
         for task in TaskKind:
             assert base.blocks[task] == other.blocks[task]
 
+    def test_mean_adds_left_to_right(self):
+        # ten TG samples of IoU 0.1; Python 3.12's sum() would give a miou of 0.1
+        samples = [make(TaskKind.TG, [(0, 10)], "<answer>0 to 1</answer>", sid=f"s{i}")
+                   for i in range(10)]
+        assert aggregate(samples).blocks[TaskKind.TG].miou == 0.09999999999999999
+
     def test_recall_monotone_in_threshold(self):
         rng = random.Random(9)
         samples = []

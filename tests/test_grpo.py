@@ -21,6 +21,7 @@ from temposcore import (
     uniform_grid,
 )
 import temposcore.grpo as grpo
+from temposcore.parsing import ParsedOutput, _is_answer_text, serialize
 from temposcore.grpo import (
     MAX_GRID_CANDIDATES,
     MAX_GROUP_SIZE,
@@ -796,6 +797,22 @@ class TestScenarios:
                     ],
                 }
             )
+
+    @pytest.mark.parametrize("text", ["A", "the dog", "é", "", " A", "A\n", "<b>", "a>b"])
+    def test_options_follow_the_answer_text_rule_of_serialize(self, text):
+        """A GVQA option is exactly an answer text that serialize accepts."""
+        try:
+            serialize(ParsedOutput(intervals=(), answer_text=text), TaskKind.GVQA)
+            serializable = True
+        except ValueError:
+            serializable = False
+        try:
+            PromptSpec(TaskKind.GVQA, (Interval(0, 5),), (Interval(0, 5),),
+                       gt_answer="A", options=("A", text))
+            accepted = True
+        except ScenarioError:
+            accepted = False
+        assert serializable == accepted == _is_answer_text(text)
 
     def test_gvqa_requires_options(self):
         with pytest.raises(ScenarioError):

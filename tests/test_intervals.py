@@ -198,6 +198,12 @@ class TestMerge:
         once = merge(xs)
         assert merge(once.intervals) == once
 
+    def test_measure_adds_left_to_right(self):
+        # Python 3.12's sum() compensates and would give 1.0
+        merged = merge(ivs([(k * 12 / 100, (k * 12 + 10) / 100) for k in range(10)]))
+        assert len(merged.intervals) == 10
+        assert merged.measure == 0.9999999999999999
+
     @given(st.lists(positive_interval(), max_size=12))
     def test_measure_at_most_sum_of_lengths(self, xs):
         merged = merge(xs)

@@ -17,7 +17,7 @@ from temposcore import (
     serialize,
     total_reward,
 )
-from temposcore.parsing import _NUMBER, _PAIR_RE
+from temposcore.parsing import _LONE_SURROGATE_RE, _NUMBER, _PAIR_RE
 
 MULTI_TASKS = [TaskKind.DTG, TaskKind.VHD, TaskKind.TAL]
 
@@ -342,3 +342,13 @@ def test_regex_whitespace_is_str_isspace():
     assert all(
         (space.match(chr(c)) is not None) == chr(c).isspace() for c in range(0x110000)
     )
+
+
+def test_lone_surrogate_re_is_what_utf8_cannot_encode():
+    every = "".join(map(chr, range(0x110000)))
+    found = _LONE_SURROGATE_RE.findall(every)
+    assert len(found) == 0xE000 - 0xD800
+    for ch in found:
+        with pytest.raises(UnicodeEncodeError):
+            ch.encode("utf-8")
+    _LONE_SURROGATE_RE.sub("", every).encode("utf-8")  # all the rest encodes

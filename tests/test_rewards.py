@@ -48,6 +48,12 @@ class TestType1:
         got = reward_type1(ivs([(0, 10)]), ivs([(5, 15), (20, 30)]))
         assert got == pytest.approx(1 / 6, abs=1e-4)
 
+    def test_adds_left_to_right(self):
+        # ten pairs of IoU 0.1; Python 3.12's sum() would give 1.0 / 10 == 0.1
+        preds = ivs([(20 * k, 20 * k + 1) for k in range(10)])
+        gts = ivs([(20 * k, 20 * k + 10) for k in range(10)])
+        assert reward_type1(preds, gts) == 0.09999999999999999
+
     def test_empty_preds(self):
         assert reward_type1([], ivs([(0, 1)])) == 0.0
 
