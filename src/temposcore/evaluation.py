@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .intervals import Interval, _left_sum, _unchecked, iou
-from .parsing import ParseError, TaskKind, _LONE_SURROGATE_RE, _WHITESPACE_RE, read
+from .parsing import ParseError, TaskKind, _field_fault, read
 from .rewards import _prf, classification_reward, dp_match, reward_type1, reward_type2
 
 RECALL_THRESHOLDS = (0.3, 0.5, 0.7)
@@ -45,11 +45,9 @@ class Sample:
     gt_answer: str | None = None
 
     def __post_init__(self) -> None:
-        # one record per output line: an id must not break or split it
-        if _WHITESPACE_RE.search(self.id):
-            raise ValueError(f"id {self.id!r} must not contain whitespace")
-        if _LONE_SURROGATE_RE.search(self.id):
-            raise ValueError(f"id {self.id!r} cannot be encoded as UTF-8")
+        fault = _field_fault(self.id)
+        if fault is not None:
+            raise ValueError(f"id {self.id!r} {fault}")
         if not self.gt_intervals:
             raise ValueError(f"sample {self.id}: gt_intervals must be non-empty")
         if (self.gt_answer is not None) != (self.task is TaskKind.GVQA):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .intervals import Interval, _finite_float, _interval_from_pair, _left_sum
 from .parsing import (
-    ParsedOutput, TaskKind, _LONE_SURROGATE_RE, _WHITESPACE_RE, _is_answer_text, serialize
+    ParsedOutput, TaskKind, _field_fault, _is_answer_text, serialize
 )
 from .rewards import TalConfig, total_reward
 
@@ -139,14 +139,19 @@ class PromptSpec:
         if self.task is TaskKind.GVQA:
             if not self.options:
                 raise ScenarioError("GVQA prompts need answer options")
+            seen = set()
             for option in self.options:
                 if not _is_answer_text(option):  # what serialize needs of an answer text
                     raise ScenarioError(
                         f"GVQA option {option!r} must be a non-empty, tag-free string "
                         "without surrounding whitespace"
                     )
-                if _LONE_SURROGATE_RE.search(option):
-                    raise ScenarioError(f"GVQA option {option!r} cannot be encoded as UTF-8")
+                fault = _field_fault(option)  # simulate prints it as answer=OPTION
+                if fault is not None:
+                    raise ScenarioError(f"GVQA option {option!r} {fault}")
+                if option in seen:  # two answer indices would decode to one text
+                    raise ScenarioError(f"GVQA option {option!r} is repeated")
+                seen.add(option)
             if self.gt_answer not in self.options:
                 raise ScenarioError("GVQA gt_answer must be one of the options")
         elif self.options or self.gt_answer is not None:
@@ -180,8 +185,9 @@ class ToyPolicy:
     (max_instances, n_candidates), and ``answer`` when the prompt has
     options. Logits start at zero (uniform). The policy takes ``params``
     and ``ref_logps`` (the KL reference's log-probabilities; its own when
-    omitted) over, builds each prompt's ``tables`` and ``kls`` (``prompt_kl``
-    terms) once, and marks every array read-only, so policies share them.
+    omitted) over, builds each prompt's ``tables`` and ``kls`` (``prompt_kl``:
+    its KL and the KL's gradient) once, and marks every array read-only, so
+    policies share them.
     """
 
     def __init__(self, prompts: Sequence[PromptSpec], params: Sequence[Params] | None = None,
@@ -198,9 +204,9 @@ class ToyPolicy:
                           else tuple(ref_logps))
         pairs = zip(self.tables, self.ref_logps, strict=True)
         self.kls = tuple(prompt_kl(t, ref) for t, ref in pairs)
-        heads = (*self.params, *self.ref_logps, *(d for t in self.tables for d in t))
-        kl_arrays = (z for kl in self.kls for z in kl if isinstance(z, np.ndarray))
-        for z in (*(z for d in heads for z in d.values()), *kl_arrays):
+        heads = (*self.params, *self.ref_logps, *(d for t in self.tables for d in t),
+                 *(kl.grads for kl in self.kls))
+        for z in (z for d in heads for z in d.values()):
             z.flags.writeable = False
 
     def head_log_probs(self, idx: int) -> Params:
@@ -279,37 +285,38 @@ def response_log_prob(logps: Params, resp: SampledResponse) -> float:
 
 
 class _Kl(NamedTuple):
-    """The exact KL of one prompt and the per-head terms its gradient reuses."""
+    """The exact KL of one prompt to its reference, and its gradient on each head's logits."""
 
     value: float
-    count_scores: np.ndarray  # log p - log q, count head
-    count_kl: float
-    survival: np.ndarray  # survival[s] = P(sampled count covers slot s) = P(count >= s + 1)
-    slot_scores: np.ndarray
-    slot_kls: tuple[float, ...]
-    answer_scores: np.ndarray | None
-    answer_kl: float
+    grads: Params
 
 
 def prompt_kl(cur: HeadTables, ref: Params) -> _Kl:
-    """Exact KL of the factorized response distribution for one prompt, with its terms."""
+    """Exact KL of the factorized response distribution for one prompt, with its gradient."""
     logps, probs = cur
     count_probs = probs["count"]
-    count_scores = logps["count"] - ref["count"]
+    count_scores = logps["count"] - ref["count"]  # log p - log q, count head
     count_kl = float((count_probs * count_scores).sum())
-    survival = np.cumsum(count_probs[::-1])[::-1]
+    survival = np.cumsum(count_probs[::-1])[::-1]  # survival[s] = P(count >= s + 1)
     slot_scores = logps["slots"] - ref["slots"]
-    slot_kls = tuple((probs["slots"] * slot_scores).sum(axis=1).tolist())
+    slot_kls = (probs["slots"] * slot_scores).sum(axis=1).tolist()
     value = count_kl
+    count_grad = count_probs * (count_scores - count_kl)
+    # the count head moves P(count >= s + 1), which reweights slot KLs
+    slot_index = np.arange(len(slot_kls))
     for s, kl_s in enumerate(slot_kls):
         value += float(survival[s]) * kl_s
-    answer_scores, answer_kl = None, 0.0
+        count_grad += kl_s * count_probs * ((slot_index >= s).astype(float) - survival[s])
+    grads: Params = {
+        "count": count_grad,
+        "slots": survival[:, None] * probs["slots"] * (slot_scores - np.array(slot_kls)[:, None]),
+    }
     if "answer" in logps:
         answer_scores = logps["answer"] - ref["answer"]
         answer_kl = float((probs["answer"] * answer_scores).sum())
         value += answer_kl
-    return _Kl(value, count_scores, count_kl, survival, slot_scores, slot_kls,
-               answer_scores, answer_kl)
+        grads["answer"] = probs["answer"] * (answer_scores - answer_kl)
+    return _Kl(value, grads)
 
 
 def objective_and_gradients(
@@ -320,13 +327,13 @@ def objective_and_gradients(
     old_log_probs: Sequence[float],
     cfg: GrpoConfig,
 ) -> tuple[float, Params, int]:
-    """Clipped-surrogate objective for one prompt, with analytic logit gradients.
+    """Clipped-surrogate objective minus beta * KL for one prompt, with logit gradients.
 
     ``cur`` holds the head tables of the logits being optimized, ``kl`` their
-    KL terms (a policy's ``kls``). Returns (objective, gradients, n_clipped).
-    ``n_clipped`` counts responses whose surrogate sat on the constant clipped
-    branch (no gradient). A zero-advantage response adds nothing to the
-    objective or the gradients, so only its clipping is counted.
+    KL and its gradient (a policy's ``kls``). Returns (objective, gradients,
+    n_clipped). ``n_clipped`` counts responses whose surrogate sat on the
+    constant clipped branch (no gradient). A zero-advantage response adds
+    nothing to the objective or the gradients, so only its clipping is counted.
     """
     logps, probs = cur
     grads: Params = {name: np.zeros_like(lp) for name, lp in logps.items()}
@@ -354,24 +361,9 @@ def objective_and_gradients(
             grads["answer"][resp.answer] += coeff
             grads["answer"] -= coeff * probs["answer"]
 
-    # exact KL penalty on the factorized distribution
-    count_probs = probs["count"]
-    kl_count_grad = count_probs * (kl.count_scores - kl.count_kl)
-    # the count head moves P(count >= s + 1), which reweights slot KLs
-    slot_index = np.arange(len(kl.slot_kls))
-    for s, kl_s in enumerate(kl.slot_kls):
-        kl_count_grad += kl_s * count_probs * ((slot_index >= s).astype(float) - kl.survival[s])
-    kl_grad: Params = {
-        "count": kl_count_grad,
-        "slots": kl.survival[:, None] * probs["slots"]
-        * (kl.slot_scores - np.array(kl.slot_kls)[:, None]),
-    }
-    if kl.answer_scores is not None:
-        kl_grad["answer"] = probs["answer"] * (kl.answer_scores - kl.answer_kl)
-
     objective -= cfg.kl_beta * kl.value
     for name in grads:
-        grads[name] -= cfg.kl_beta * kl_grad[name]
+        grads[name] -= cfg.kl_beta * kl.grads[name]
     return objective, grads, n_clipped
 
 
@@ -433,7 +425,7 @@ def grpo_step(
     at 1 and the update is the plain policy gradient. More inner steps
     re-ascend the same batch, which is what exercises the clipping path.
     Each inner step builds a new policy from the updated logits and the
-    input's ``ref_logps``, and with it that policy's tables and KL terms:
+    input's ``ref_logps``, and with it that policy's tables, KL and KL gradient:
     one log-softmax and one ``prompt_kl`` per prompt per inner step. KL
     regularizes toward the input's reference; to regularize toward the
     input itself, rebuild it from its params first.
@@ -508,11 +500,13 @@ def run_simulation(
     which every policy stepped from it carries. Each step derives its own
     RNG stream from (seed, step), so curves are identical bit for bit across
     runs with the same inputs. Each step samples from the tables of the
-    policy the last one returned and reads its KL terms, and one reward memo
+    policy the last one returned and reads its KL, and one reward memo
     serves the whole run. The result's policy carries the final tables.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     fn = reward_fn if reward_fn is not None else standard_reward_fn()
     policy = ToyPolicy(scenario.prompts)
     memo: dict[tuple[int, SampledResponse], float] = {}
@@ -652,11 +646,9 @@ def scenario_from_dict(d: dict) -> Scenario:
     name = d.get("name", "scenario")
     if not isinstance(name, str):
         raise ScenarioError("scenario name must be a string")
-    # the name is printed into simulate's scenario= line: it must not break or split it
-    if _WHITESPACE_RE.search(name):
-        raise ScenarioError(f"scenario name {name!r} must not contain whitespace")
-    if _LONE_SURROGATE_RE.search(name):
-        raise ScenarioError(f"scenario name {name!r} cannot be encoded as UTF-8")
+    fault = _field_fault(name)  # simulate prints it as scenario=NAME
+    if fault is not None:
+        raise ScenarioError(f"scenario name {name!r} {fault}")
     grpo = _grpo_from_dict(d["grpo"]) if "grpo" in d else None
     specs = []
     for i, p in enumerate(prompts):

@@ -75,8 +75,6 @@ _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _PAIR_RE = re.compile(rf"(?:(?<!\d)|(?=\.))({_NUMBER})\s*to\s*({_NUMBER})", re.IGNORECASE)
 _ENTRY_RE = re.compile(rf"\s*({_NUMBER})\s*to\s*({_NUMBER})\s*\Z", re.IGNORECASE)
 
-# Printed text holds no lone surrogate (JSON's "\ud800"), which UTF-8 cannot encode;
-# an id or scenario name, one key=value field, holds no str.isspace character either.
 _WHITESPACE_RE = re.compile(r"\s")
 _LONE_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
@@ -208,6 +206,15 @@ def _is_answer_text(text: object) -> bool:
     """The GVQA answer-text rule: a non-empty string, strip-stable, with no ``<`` or ``>``."""
     return (isinstance(text, str) and text != "" and text == text.strip()
             and "<" not in text and ">" not in text)
+
+
+def _field_fault(text: str) -> str | None:
+    """Why an id, scenario name or GVQA option cannot print as one ``key=value`` field, or None."""
+    if _WHITESPACE_RE.search(text):  # any str.isspace character splits the field
+        return "must not contain whitespace"
+    if _LONE_SURROGATE_RE.search(text):  # JSON's "\ud800", which UTF-8 cannot encode
+        return "cannot be encoded as UTF-8"
+    return None
 
 
 def serialize(p: ParsedOutput, task: TaskKind) -> str:

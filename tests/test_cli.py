@@ -401,6 +401,11 @@ class TestSimulateCommand:
              "GVQA option ' B' must be a non-empty"),
             ({"task": "GVQA", "gt_answer": "A", "options": ["A", "<b>"]},
              "GVQA option '<b>' must be a non-empty"),
+            # simulate prints an option as one answer= field that names one answer index
+            ({"task": "GVQA", "gt_answer": "A", "options": ["A", "the dog"]},
+             "GVQA option 'the dog' must not contain whitespace\n"),
+            ({"task": "GVQA", "gt_answer": "A", "options": ["A", "B", "A"]},
+             "GVQA option 'A' is repeated\n"),
             ({"name": "a b\nc"}, "scenario name 'a b\\nc' must not contain whitespace"),
         ],
     )
@@ -475,6 +480,13 @@ class TestSimulateCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, name", [("--steps", "steps"), ("--seed", "seed")])
+    def test_negative_steps_or_seed_exits_2(self, capsys, flag, name):
+        assert main(["simulate", "--scenario", str(SCENARIOS / "tg_basic.json"), flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be >= 0\n"
 
     def test_tg_prompt_takes_one_ground_truth_interval(self, tmp_path, capsys):
         """As a dataset TG line does; two would cap the best reward at 1.5, not 2.0."""

@@ -21,7 +21,7 @@ from temposcore import (
     uniform_grid,
 )
 import temposcore.grpo as grpo
-from temposcore.parsing import ParsedOutput, _is_answer_text, serialize
+from temposcore.parsing import ParsedOutput, _field_fault, _is_answer_text, serialize
 from temposcore.grpo import (
     MAX_GRID_CANDIDATES,
     MAX_GROUP_SIZE,
@@ -242,6 +242,31 @@ def test_analytic_gradient_matches_finite_differences():
         assert err < 1e-5
 
 
+@pytest.mark.parametrize("task", [TaskKind.TAL, TaskKind.GVQA])
+def test_kl_gradient_matches_finite_differences_of_the_kl(task):
+    """``prompt_kl``'s gradient against central differences of its value alone.
+
+    Three count choices over three slot heads, so the count head reweights
+    the slot KLs; a GVQA prompt adds the answer head. The policy differs
+    from its reference in every head.
+    """
+    rng = np.random.default_rng(1414)
+    grid = tuple(Interval(float(i), float(i + 2)) for i in range(4))
+    answer = {"gt_answer": "A", "options": ("A", "B", "C")} if task is TaskKind.GVQA else {}
+    prompt = PromptSpec(task, (grid[0],), grid, max_instances=3, **answer)
+    for _ in range(5):
+        start = noisy(ToyPolicy([prompt]), rng, 0.8)
+        ref = noisy(start, rng, 0.5)
+        policy = ToyPolicy([prompt], start.params, [ref.tables[0].logps])
+        assert policy.kls[0].value > 0.0
+        analytic = policy.kls[0].grads
+        numeric = finite_difference(policy, lambda p: p.kls[0].value)
+        assert analytic.keys() == numeric.keys() == policy.params[0].keys()
+        for name, g in numeric.items():
+            err = np.linalg.norm(analytic[name] - g) / max(np.linalg.norm(g), 1e-8)
+            assert err < 1e-5, name
+
+
 # ---------------------------------------------------------------------------
 # Step and simulation behavior
 
@@ -359,8 +384,9 @@ def test_head_tables_once_per_prompt_step(monkeypatch, steps):
 def test_kl_once_per_prompt_step(monkeypatch, steps):
     """One ``prompt_kl`` per prompt for the initial policy, then one per prompt-step.
 
-    The objective and the step's reported KL read the terms the policy built.
-    The returned policy's terms equal fresh ones against the initial policy.
+    The objective and the step's reported KL read the KL the policy built.
+    The returned policy's KL and gradient equal fresh ones against the
+    initial policy.
     """
     scenario = load_scenario(SCENARIOS / "multitask_five.json")
     calls = []
@@ -378,14 +404,15 @@ def test_kl_once_per_prompt_step(monkeypatch, steps):
     for got, tables, ref in zip(res.policy.kls, res.policy.tables, initial, strict=True):
         expected = kl(tables, ref.logps)
         assert got.value == expected.value
-        assert got.slot_scores.tobytes() == expected.slot_scores.tobytes()
+        assert got.grads.keys() == expected.grads.keys()
+        assert all(got.grads[k].tobytes() == expected.grads[k].tobytes() for k in expected.grads)
 
 
 def test_policy_without_reference_is_its_own(tg_scenario):
     """A policy built without ``ref_logps`` is its reference; a step hands it on.
 
-    The KL terms are read-only, like the tables, and a reference must have
-    one entry per prompt.
+    The KL's gradient is read-only, like the tables, and a reference must
+    have one entry per prompt.
     """
     params = zero_params(tg_scenario.prompts)
     params[0]["slots"][0, 3] = 2.0
@@ -395,8 +422,8 @@ def test_policy_without_reference_is_its_own(tg_scenario):
     new, stats = grpo_step(policy, standard_reward_fn(), GrpoConfig(), rng_seed=3)
     assert new.ref_logps[0] is policy.ref_logps[0]
     assert stats.kl == new.kls[0].value > 0.0
-    arrays = [z for z in new.kls[0] if isinstance(z, np.ndarray)]
-    assert len(arrays) == 3  # count scores, survival, slot scores (no answer head)
+    arrays = list(new.kls[0].grads.values())
+    assert len(arrays) == 2  # count and slots (no answer head)
     for z in arrays:
         with pytest.raises(ValueError, match="read-only"):
             z[0] = 0.0
@@ -800,7 +827,8 @@ class TestScenarios:
 
     @pytest.mark.parametrize("text", ["A", "the dog", "é", "", " A", "A\n", "<b>", "a>b"])
     def test_options_follow_the_answer_text_rule_of_serialize(self, text):
-        """A GVQA option is exactly an answer text that serialize accepts."""
+        """A GVQA option is exactly an answer text that serialize accepts and
+        that prints as one ``key=value`` field ("the dog" is the one that does not)."""
         try:
             serialize(ParsedOutput(intervals=(), answer_text=text), TaskKind.GVQA)
             serializable = True
@@ -808,11 +836,12 @@ class TestScenarios:
             serializable = False
         try:
             PromptSpec(TaskKind.GVQA, (Interval(0, 5),), (Interval(0, 5),),
-                       gt_answer="A", options=("A", text))
+                       gt_answer="yes", options=("yes", text))  # distinct from text
             accepted = True
         except ScenarioError:
             accepted = False
-        assert serializable == accepted == _is_answer_text(text)
+        assert serializable == _is_answer_text(text)
+        assert accepted == (serializable and _field_fault(text) is None)
 
     def test_gvqa_requires_options(self):
         with pytest.raises(ScenarioError):
