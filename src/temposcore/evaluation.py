@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .intervals import Interval, _left_sum, _unchecked, iou
+from .intervals import Interval, _finite_float, _intervals_from_pairs, _left_sum, _unchecked, iou
 from .parsing import ParseError, TaskKind, _field_fault, read
 from .rewards import _prf, classification_reward, dp_match, reward_type1, reward_type2
 
@@ -35,7 +35,11 @@ TAL_PROTOCOL = "dp-tp-f1-v1"
 
 @dataclass(frozen=True)
 class Sample:
-    """One evaluation record: ground truth plus the raw predicted text."""
+    """One evaluation record: ground truth plus the raw predicted text.
+
+    The constructor is the one home of the dataset rules, JSON types included.
+    Pairs may be Intervals, ``[start, end]`` lists or ``(start, end)`` tuples.
+    """
 
     id: str
     task: TaskKind
@@ -45,14 +49,29 @@ class Sample:
     gt_answer: str | None = None
 
     def __post_init__(self) -> None:
+        # the types first, then the values: the order docs/formats.md gives for two faults
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError("id must be a non-empty string")
+        if not isinstance(self.task, TaskKind):
+            raise ValueError(f"unknown task tag {self.task!r}")
+        if not isinstance(self.prediction_raw, str):
+            raise ValueError("prediction must be a string")
+        if not isinstance(self.gt_intervals, (list, tuple)) or not self.gt_intervals:
+            raise ValueError("gt_intervals must be a non-empty list")
+        gts = _intervals_from_pairs(self.gt_intervals, "gt interval")
+        object.__setattr__(self, "gt_intervals", gts)
+        if self.duration is not None:
+            object.__setattr__(self, "duration", _finite_float(self.duration))
+            if self.duration is None:
+                raise ValueError("duration must be a finite number")
+        if self.gt_answer is not None and not isinstance(self.gt_answer, str):
+            raise ValueError("gt_answer must be a string")
         fault = _field_fault(self.id)
         if fault is not None:
             raise ValueError(f"id {self.id!r} {fault}")
-        if not self.gt_intervals:
-            raise ValueError(f"sample {self.id}: gt_intervals must be non-empty")
         if (self.gt_answer is not None) != (self.task is TaskKind.GVQA):
             raise ValueError(f"sample {self.id}: gt_answer must be present exactly for GVQA")
-        if self.task is TaskKind.TG and len(self.gt_intervals) != 1:
+        if self.task is TaskKind.TG and len(gts) != 1:
             raise ValueError(f"sample {self.id}: TG requires exactly one ground-truth interval")
         if self.duration is not None and not self.duration > 0:
             raise ValueError(f"sample {self.id}: duration must be positive")
@@ -92,8 +111,7 @@ def _predicted(
     failed = isinstance(reading.parsed, ParseError)
     intervals = (reading.intervals or ()) if failed else reading.parsed.intervals
     if clamp and sample.duration is not None:
-        duration = float(sample.duration)
-        intervals = tuple(_clamp_interval(iv, duration) for iv in intervals)
+        intervals = tuple(_clamp_interval(iv, sample.duration) for iv in intervals)
     return intervals, failed, reading.answer_text
 
 

@@ -28,9 +28,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .intervals import Interval, _finite_float, _interval_from_pair, _left_sum
+from .intervals import Interval, _finite_float, _intervals_from_pairs, _left_sum
 from .parsing import (
-    ParsedOutput, TaskKind, _field_fault, _is_answer_text, serialize
+    ParsedOutput, TaskKind, _TASKS, _field_fault, _is_answer_text, serialize
 )
 from .rewards import TalConfig, total_reward
 
@@ -110,7 +110,7 @@ MAX_SLOT_LOGITS = 500_000
 
 @dataclass(frozen=True)
 class PromptSpec:
-    """One synthetic training prompt: ground truth plus a candidate grid."""
+    """One synthetic training prompt: ground truth plus a candidate grid, checked like Sample."""
 
     task: TaskKind
     gt_intervals: tuple[Interval, ...]
@@ -120,6 +120,19 @@ class PromptSpec:
     options: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        # the types first, then the values, as in Sample
+        if not isinstance(self.task, TaskKind):
+            raise ScenarioError(f"unknown task {self.task!r}")
+        for key in ("gt_intervals", "grid"):
+            pairs = getattr(self, key)
+            if not isinstance(pairs, (list, tuple)):
+                raise ScenarioError(f"{key} must be a list of [start, end] pairs")
+            object.__setattr__(self, key, _intervals_from_pairs(pairs, key, ScenarioError))
+        if isinstance(self.max_instances, bool) or not isinstance(self.max_instances, int):
+            raise ScenarioError("max_instances must be an integer")
+        if not isinstance(self.options, (list, tuple)):
+            raise ScenarioError("options must be a list")
+        object.__setattr__(self, "options", tuple(self.options))
         if not self.gt_intervals:
             raise ScenarioError("a prompt needs at least one ground-truth interval")
         if not self.grid:
@@ -523,9 +536,21 @@ def run_simulation(
 
 @dataclass(frozen=True)
 class Scenario:
+    """A named list of prompts; the constructor checks both, as :class:`PromptSpec` does."""
+
     name: str
     prompts: tuple[PromptSpec, ...]
     grpo: GrpoConfig | None = None  # optional optimizer defaults bundled with the file
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.prompts, (list, tuple)) or not self.prompts:
+            raise ScenarioError("scenario needs a non-empty 'prompts' list")
+        object.__setattr__(self, "prompts", tuple(self.prompts))
+        if not isinstance(self.name, str):
+            raise ScenarioError("scenario name must be a string")
+        fault = _field_fault(self.name)  # simulate prints it as scenario=NAME
+        if fault is not None:
+            raise ScenarioError(f"scenario name {self.name!r} {fault}")
 
 
 def uniform_grid(duration: float, step: float) -> tuple[Interval, ...]:
@@ -557,7 +582,7 @@ _PROMPT_KEYS = {
     "options", "grid", "grid_step", "max_instances",
 }
 _GRPO_KEYS = {"group_size", "clip_eps", "kl_beta", "learning_rate", "std_floor"}
-_DEFAULT_MAX_INSTANCES = 6
+_DEFAULT_INSTANCES = 6
 
 
 def _scenario_number(d: dict, key: str) -> float:
@@ -567,59 +592,38 @@ def _scenario_number(d: dict, key: str) -> float:
     return value
 
 
-def _scenario_intervals(d: dict, key: str) -> tuple[Interval, ...]:
-    pairs = d[key]
-    if not isinstance(pairs, list):
-        raise ScenarioError(f"{key} must be a list of [start, end] pairs")
-    out = []
-    for pair in pairs:
-        try:
-            out.append(_interval_from_pair(pair))
-        except ValueError as exc:
-            raise ScenarioError(f"bad {key} {pair!r}: {exc}") from None
-    return tuple(out)
-
-
-def _prompt_from_dict(d: dict) -> PromptSpec:
-    if not isinstance(d, dict):
-        raise ScenarioError("must be an object")
-    for key in d:
-        if key not in _PROMPT_KEYS:
-            raise ScenarioError(f"unknown scenario key '{key}'")
+def _prompt_from_dict(d: dict, i: int) -> PromptSpec:
+    """Prompt ``i`` of a scenario file; each of its faults is raised as ``prompt i: ...``."""
     try:
-        task = TaskKind(d.get("task"))
-    except ValueError:
-        raise ScenarioError(f"unknown task {d.get('task')!r}") from None
-    if "gt_intervals" not in d:
-        raise ScenarioError("missing gt_intervals")
-    gts = _scenario_intervals(d, "gt_intervals")
-
-    duration = _scenario_number(d, "duration") if "duration" in d else None
-    if "grid" in d and "grid_step" in d:
-        raise ScenarioError("give either grid or grid_step, not both")
-    if "grid" in d:
-        grid = _scenario_intervals(d, "grid")
-    elif "grid_step" in d:
-        if duration is None:
-            raise ScenarioError("grid_step needs a duration")
-        grid = uniform_grid(duration, _scenario_number(d, "grid_step"))
-    else:
-        raise ScenarioError("missing grid or grid_step")
-
-    max_instances = d.get("max_instances", 1 if task is TaskKind.TG else _DEFAULT_MAX_INSTANCES)
-    if isinstance(max_instances, bool) or not isinstance(max_instances, int):
-        raise ScenarioError("max_instances must be an integer")
-    options = d.get("options", [])
-    if not isinstance(options, list):
-        raise ScenarioError("options must be a list")
-    return PromptSpec(
-        task=task,
-        gt_intervals=gts,
-        grid=grid,
-        max_instances=max_instances,
-        gt_answer=d.get("gt_answer"),
-        options=tuple(options),
-    )
+        if not isinstance(d, dict):
+            raise ScenarioError("must be an object")
+        for key in d:
+            if key not in _PROMPT_KEYS:
+                raise ScenarioError(f"unknown scenario key '{key}'")
+        if "gt_intervals" not in d:
+            raise ScenarioError("missing gt_intervals")
+        duration = _scenario_number(d, "duration") if "duration" in d else None
+        if "grid" in d and "grid_step" in d:
+            raise ScenarioError("give either grid or grid_step, not both")
+        grid = d.get("grid")
+        if "grid_step" in d:
+            if duration is None:
+                raise ScenarioError("grid_step needs a duration")
+            grid = uniform_grid(duration, _scenario_number(d, "grid_step"))
+        elif "grid" not in d:
+            raise ScenarioError("missing grid or grid_step")
+        tag = d.get("task")
+        task = _TASKS.get(tag, tag) if isinstance(tag, str) else tag  # PromptSpec refuses the rest
+        return PromptSpec(
+            task=task,
+            gt_intervals=d["gt_intervals"],
+            grid=grid,
+            max_instances=d.get("max_instances", 1 if task is TaskKind.TG else _DEFAULT_INSTANCES),
+            gt_answer=d.get("gt_answer"),
+            options=d.get("options", ()),
+        )
+    except ScenarioError as exc:
+        raise ScenarioError(f"prompt {i}: {exc}") from None
 
 
 def _grpo_from_dict(d: dict) -> GrpoConfig:
@@ -640,23 +644,11 @@ def scenario_from_dict(d: dict) -> Scenario:
     for key in d:
         if key not in _SCENARIO_KEYS:
             raise ScenarioError(f"unknown scenario key '{key}'")
-    prompts = d.get("prompts")
-    if not isinstance(prompts, list) or not prompts:
-        raise ScenarioError("scenario needs a non-empty 'prompts' list")
-    name = d.get("name", "scenario")
-    if not isinstance(name, str):
-        raise ScenarioError("scenario name must be a string")
-    fault = _field_fault(name)  # simulate prints it as scenario=NAME
-    if fault is not None:
-        raise ScenarioError(f"scenario name {name!r} {fault}")
     grpo = _grpo_from_dict(d["grpo"]) if "grpo" in d else None
-    specs = []
-    for i, p in enumerate(prompts):
-        try:
-            specs.append(_prompt_from_dict(p))
-        except ScenarioError as exc:
-            raise ScenarioError(f"prompt {i}: {exc}") from None
-    return Scenario(name=name, prompts=tuple(specs), grpo=grpo)
+    prompts = d.get("prompts")
+    if isinstance(prompts, list):  # Scenario refuses anything else
+        prompts = [_prompt_from_dict(p, i) for i, p in enumerate(prompts)]
+    return Scenario(name=d.get("name", "scenario"), prompts=prompts, grpo=grpo)
 
 
 def load_scenario(path: str | Path) -> Scenario:

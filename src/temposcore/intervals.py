@@ -81,23 +81,36 @@ _unchecked = partial(tuple.__new__, Interval)
 
 
 def _interval_from_pair(pair: object) -> Interval:
-    """A JSON ``[start, end]`` pair as an Interval, checked as :func:`_finite_float` does.
+    """A ``[start, end]`` pair as an Interval, checked as :func:`_finite_float` does.
 
-    Raises ValueError for anything but a two-element list of finite numbers
-    that forms a valid interval: a bool or a numeric string is not an
-    endpoint, and a two-character string is not a pair.
+    The pair is a JSON list or a plain ``(start, end)`` tuple of two finite
+    numbers (not bools or numeric strings) forming a valid interval; an Interval
+    is kept. Anything else, a two-character string included, raises ValueError.
     """
     if type(pair) is list and len(pair) == 2:
         start, end = pair
         # the common case, two JSON numbers with a fraction
         if type(start) is float and type(end) is float and 0.0 <= start <= end < math.inf:
             return _unchecked((start, end))
-    if not (isinstance(pair, list) and len(pair) == 2):
+    elif type(pair) is Interval:
+        return pair
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ValueError("not a [start, end] pair")
     start, end = _finite_float(pair[0]), _finite_float(pair[1])
     if start is None or end is None:
         raise ValueError("endpoints must be finite numbers")
     return Interval(start, end)
+
+
+def _intervals_from_pairs(pairs: Iterable, label: str, error=ValueError) -> tuple[Interval, ...]:
+    """Each pair read by :func:`_interval_from_pair`; a bad one is ``bad LABEL PAIR: why``."""
+    out = []
+    for pair in pairs:
+        try:
+            out.append(_interval_from_pair(pair))
+        except ValueError as exc:
+            raise error(f"bad {label} {pair!r}: {exc}") from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)

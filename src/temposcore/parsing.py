@@ -67,6 +67,7 @@ class ParsedOutput:
     answer_text: str | None = None
 
 
+_TASKS = {task.value: task for task in TaskKind}  # a JSON task tag's TaskKind
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # A pair never starts at a digit right after a digit: the scan's match or
 # failure at the start of that digit run already covers it. The guard skips

@@ -59,6 +59,42 @@ class TestSample:
         with pytest.raises(ValueError):
             make(TaskKind.TG, [(0, 1), (2, 3)], "")
 
+    # values a dataset line could not carry, refused by the constructor with the line's message
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"gt_intervals": ((5.0, 1.0),)},
+             "bad gt interval (5.0, 1.0): interval end < start: (5.0, 1.0)"),
+            ({"gt_intervals": [[True, 1.0]]},
+             "bad gt interval [True, 1.0]: endpoints must be finite numbers"),
+            ({"gt_intervals": "05"}, "gt_intervals must be a non-empty list"),
+            ({"prediction_raw": None}, "prediction must be a string"),
+            ({"duration": float("inf")}, "duration must be a finite number"),
+            ({"duration": True}, "duration must be a finite number"),
+            ({"id": 5}, "id must be a non-empty string"),
+            ({"id": ""}, "id must be a non-empty string"),
+            ({"task": "TG"}, "unknown task tag 'TG'"),
+            ({"task": TaskKind.GVQA, "gt_answer": 1}, "gt_answer must be a string"),
+        ],
+    )
+    def test_constructor_checks_what_a_dataset_line_checks(self, fields, message):
+        base = dict(id="s", task=TaskKind.TG, gt_intervals=(Interval(0, 1),), prediction_raw="")
+        with pytest.raises(ValueError) as info:
+            Sample(**{**base, **fields})
+        assert str(info.value) == message
+
+    def test_plain_tuple_pairs_are_read_as_json_pairs(self):
+        s = Sample(id="s", task=TaskKind.DTG, gt_intervals=((1, 2.5), [3, 4]), prediction_raw="",
+                   duration=60)
+        assert s.gt_intervals == (Interval(1.0, 2.5), Interval(3.0, 4.0))
+        assert all(type(iv) is Interval for iv in s.gt_intervals)
+        assert type(s.duration) is float
+
+    def test_intervals_are_kept_as_they_are(self):
+        gts = (Interval(0, 1), Interval(2, 3))
+        s = Sample(id="s", task=TaskKind.DTG, gt_intervals=gts, prediction_raw="")
+        assert all(a is b for a, b in zip(s.gt_intervals, gts, strict=True))
+
 
 class TestEvalTg:
     def test_perfect_sample(self):

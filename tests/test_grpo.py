@@ -29,6 +29,7 @@ from temposcore.grpo import (
     HeadTables,
     PromptSpec,
     SampledResponse,
+    Scenario,
     objective_and_gradients,
     prompt_kl,
     response_log_prob,
@@ -970,3 +971,54 @@ class TestScenarios:
                   "max_instances": value}
         with pytest.raises(ScenarioError, match="prompt 0: max_instances must be an integer"):
             scenario_from_dict({"prompts": [prompt]})
+
+    # values a scenario file could not carry, refused by the constructors with the file's message
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"grid": ((-3.0, 2.0),)},
+             "bad grid (-3.0, 2.0): interval endpoints must be >= 0, got (-3.0, 2.0)"),
+            ({"gt_intervals": Interval(0, 5)},
+             "bad gt_intervals 0.0: not a [start, end] pair"),
+            ({"grid": None}, "grid must be a list of [start, end] pairs"),
+            ({"max_instances": True}, "max_instances must be an integer"),
+            ({"task": TaskKind.GVQA, "gt_answer": "A", "options": "AB"}, "options must be a list"),
+            ({"task": "TAL"}, "unknown task 'TAL'"),
+        ],
+    )
+    def test_prompt_constructor_checks_what_a_scenario_file_checks(self, fields, message):
+        base = dict(task=TaskKind.TAL, gt_intervals=(Interval(0, 5),), grid=(Interval(0, 5),))
+        with pytest.raises(ScenarioError) as info:
+            PromptSpec(**{**base, **fields})
+        assert str(info.value) == message
+
+    def test_prompt_pairs_and_options_are_stored_as_tuples(self):
+        prompt = PromptSpec(TaskKind.GVQA, [[0, 5]], ((0, 5), Interval(5, 10)),
+                            gt_answer="A", options=["A", "B"])
+        assert prompt.gt_intervals == (Interval(0, 5),)
+        assert prompt.grid == (Interval(0, 5), Interval(5, 10))
+        assert prompt.options == ("A", "B")
+        assert prompt == scenario_from_dict({"prompts": [{
+            "task": "GVQA", "gt_intervals": [[0, 5]], "grid": [[0, 5], [5, 10]],
+            "gt_answer": "A", "options": ["A", "B"], "max_instances": 1}]}).prompts[0]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"name": "a b"}, "scenario name 'a b' must not contain whitespace"),
+            ({"name": "a\u2028b"}, "scenario name 'a\\u2028b' must not contain whitespace"),
+            ({"name": "a\x85b"}, "scenario name 'a\\x85b' must not contain whitespace"),
+            ({"name": None}, "scenario name must be a string"),
+            ({"prompts": ()}, "scenario needs a non-empty 'prompts' list"),
+            ({"prompts": None}, "scenario needs a non-empty 'prompts' list"),
+        ],
+    )
+    def test_scenario_constructor_checks_what_a_scenario_file_checks(self, fields, message):
+        prompt = PromptSpec(TaskKind.TG, (Interval(0, 5),), (Interval(0, 5),))
+        with pytest.raises(ScenarioError) as info:
+            Scenario(**{"name": "s", "prompts": (prompt,), **fields})
+        assert str(info.value) == message
+
+    def test_empty_scenario_is_refused_before_it_runs(self):
+        with pytest.raises(ScenarioError, match="non-empty 'prompts'"):
+            run_simulation(Scenario("s", ()), GrpoConfig(), steps=1, seed=0)

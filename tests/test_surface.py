@@ -62,3 +62,23 @@ def test_every_export_has_a_user_outside_tests():
     trees.append(ast.parse(readme_tour()))
     used = set().union(*(_uses(tree, exported) for tree in trees))
     assert sorted(exported - used) == []
+
+
+# the checkers a record's field rules are built from; only the constructors call them
+FIELD_CHECKERS = {"_finite_float", "_interval_from_pair", "_intervals_from_pairs", "_field_fault",
+                  "Interval"}
+
+
+def test_records_maps_dataset_fields_and_checks_none():
+    """Every dataset rule lives in ``Sample``, so none can drift back into the loader."""
+    tree = ast.parse((PACKAGE / "records.py").read_text(encoding="utf-8"))
+    assert sorted(_uses(tree, FIELD_CHECKERS)) == []
+
+
+def test_scenario_loaders_map_prompt_fields_and_check_none():
+    """Every prompt and scenario rule lives in ``PromptSpec`` and ``Scenario``."""
+    tree = ast.parse((PACKAGE / "grpo.py").read_text(encoding="utf-8"))
+    loaders = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("_prompt_from_dict", "scenario_from_dict")]
+    assert len(loaders) == 2
+    assert sorted(set().union(*(_uses(node, FIELD_CHECKERS) for node in loaders))) == []
