@@ -1,4 +1,12 @@
-"""Rewards, interval matching, and evaluation for temporal video understanding RL."""
+"""Rewards, interval matching, and evaluation for temporal video understanding RL.
+
+The scoring side (intervals, parsing, rewards, evaluation, records) needs
+only the standard library. The GRPO names and ``temposcore.grpo`` load the
+``grpo`` module, and numpy with it, on first access (PEP 562), so code that
+only scores never imports numpy.
+"""
+
+import importlib
 
 from .evaluation import (
     EvalReport,
@@ -7,21 +15,6 @@ from .evaluation import (
     TAL_THRESHOLDS,
     TaskBlock,
     aggregate,
-)
-from .grpo import (
-    GrpoConfig,
-    PromptSpec,
-    Scenario,
-    ScenarioError,
-    SimulationResult,
-    StepStats,
-    ToyPolicy,
-    group_advantages,
-    grpo_step,
-    load_scenario,
-    run_simulation,
-    standard_reward_fn,
-    uniform_grid,
 )
 from .intervals import Interval, IntervalSet, iou, merge, set_iou
 from .parsing import (
@@ -49,13 +42,8 @@ from .rewards import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EvalReport",
-    "RECALL_THRESHOLDS",
-    "Sample",
-    "TAL_THRESHOLDS",
-    "TaskBlock",
-    "aggregate",
+# served from temposcore.grpo on first access
+_GRPO_NAMES = (
     "GrpoConfig",
     "PromptSpec",
     "Scenario",
@@ -69,6 +57,29 @@ __all__ = [
     "run_simulation",
     "standard_reward_fn",
     "uniform_grid",
+)
+
+
+def __getattr__(name: str):
+    # importlib: "from . import grpo" here would ask this function for "grpo" again
+    if name == "grpo" or name in _GRPO_NAMES:
+        grpo = importlib.import_module(".grpo", __name__)
+        return grpo if name == "grpo" else getattr(grpo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_GRPO_NAMES, "grpo"})
+
+
+__all__ = [
+    "EvalReport",
+    "RECALL_THRESHOLDS",
+    "Sample",
+    "TAL_THRESHOLDS",
+    "TaskBlock",
+    "aggregate",
+    *_GRPO_NAMES,
     "Interval",
     "IntervalSet",
     "iou",

@@ -14,6 +14,9 @@ it is read. Every command's output is committed only when the command
 succeeds: a malformed line anywhere exits 2 with nothing written. ``--out``
 streams to a temporary file that replaces the target at the end; stdout is
 spooled to an unnamed temporary file and copied out at the end.
+
+Only ``simulate`` imports ``grpo``, and numpy with it, inside
+``load_scenario``; ``eval``, ``reward`` and ``match`` never import numpy.
 """
 
 from __future__ import annotations
@@ -27,17 +30,11 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .evaluation import aggregate
-from .grpo import GrpoConfig, ScenarioError, load_scenario, run_simulation, standard_reward_fn
 from .intervals import Interval, iou
-from .records import (
-    DatasetError,
-    iter_dataset,
-    render_report,
-    render_reward_record,
-)
+from .records import iter_dataset, render_report, render_reward_record
 from .rewards import (
     MatchResult,
     TalConfig,
@@ -46,6 +43,9 @@ from .rewards import (
     sequential_match,
     total_reward,
 )
+
+if TYPE_CHECKING:
+    from .grpo import GrpoConfig, Scenario
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -186,8 +186,20 @@ def cmd_match(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_grpo_config(args: argparse.Namespace, scenario) -> GrpoConfig:
+def load_scenario(path: str) -> Scenario:
+    """``grpo.load_scenario``, importing ``grpo`` (and numpy) on the first call.
+
+    Only ``simulate`` calls it, so the other commands never import numpy.
+    """
+    from . import grpo
+
+    return grpo.load_scenario(path)
+
+
+def _resolve_grpo_config(args: argparse.Namespace, scenario: Scenario) -> GrpoConfig:
     """Scenario files may bundle optimizer defaults; explicit flags win."""
+    from .grpo import GrpoConfig
+
     cfg = scenario.grpo if scenario.grpo is not None else GrpoConfig()
     overrides = {
         name: getattr(args, name)
@@ -198,7 +210,9 @@ def _resolve_grpo_config(args: argparse.Namespace, scenario) -> GrpoConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = load_scenario(args.scenario)  # imports grpo, so the imports below are cached
+    from .grpo import run_simulation, standard_reward_fn
+
     grpo_cfg = _resolve_grpo_config(args, scenario)
     reward_fn = standard_reward_fn(sigma=args.sigma, tal_normalize=args.tal_normalize)
     result = run_simulation(
@@ -291,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ScenarioError, ValueError) as exc:
+    except ValueError as exc:  # DatasetError and grpo's ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:

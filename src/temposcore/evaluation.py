@@ -71,6 +71,8 @@ class Sample:
             raise ValueError(f"id {self.id!r} {fault}")
         if (self.gt_answer is not None) != (self.task is TaskKind.GVQA):
             raise ValueError(f"sample {self.id}: gt_answer must be present exactly for GVQA")
+        if self.gt_answer is not None and not self.gt_answer.strip():
+            raise ValueError(f"sample {self.id}: gt_answer must not be blank")
         if self.task is TaskKind.TG and len(gts) != 1:
             raise ValueError(f"sample {self.id}: TG requires exactly one ground-truth interval")
         if self.duration is not None and not self.duration > 0:

@@ -199,8 +199,8 @@ class ToyPolicy:
     options. Logits start at zero (uniform). The policy takes ``params``
     and ``ref_logps`` (the KL reference's log-probabilities; its own when
     omitted) over, builds each prompt's ``tables`` and ``kls`` (``prompt_kl``:
-    its KL and the KL's gradient) once, and marks every array read-only, so
-    policies share them.
+    its KL and the KL's gradient) once, and marks the params and every array
+    it builds read-only, so policies share them.
     """
 
     def __init__(self, prompts: Sequence[PromptSpec], params: Sequence[Params] | None = None,
@@ -217,8 +217,8 @@ class ToyPolicy:
                           else tuple(ref_logps))
         pairs = zip(self.tables, self.ref_logps, strict=True)
         self.kls = tuple(prompt_kl(t, ref) for t, ref in pairs)
-        heads = (*self.params, *self.ref_logps, *(d for t in self.tables for d in t),
-                 *(kl.grads for kl in self.kls))
+        # not ref_logps: they are these tables' logps or a reference policy's, marked already
+        heads = (*self.params, *(d for t in self.tables for d in t), *(kl.grads for kl in self.kls))
         for z in (z for d in heads for z in d.values()):
             z.flags.writeable = False
 
@@ -551,6 +551,15 @@ class Scenario:
         fault = _field_fault(self.name)  # simulate prints it as scenario=NAME
         if fault is not None:
             raise ScenarioError(f"scenario name {self.name!r} {fault}")
+        for i, prompt in enumerate(self.prompts):
+            if not isinstance(prompt, PromptSpec):
+                raise ScenarioError(
+                    f"prompt {i}: must be a PromptSpec, not {type(prompt).__name__}"
+                )
+        if self.grpo is not None and not isinstance(self.grpo, GrpoConfig):
+            raise ScenarioError(
+                f"'grpo' must be a GrpoConfig or None, not {type(self.grpo).__name__}"
+            )
 
 
 def uniform_grid(duration: float, step: float) -> tuple[Interval, ...]:

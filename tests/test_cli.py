@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from temposcore import TaskKind, DatasetError, iter_dataset
+from temposcore import TaskKind, DatasetError, cli, iter_dataset, total_reward
 from temposcore.cli import main, parse_inline_intervals
 from temposcore.records import sample_from_record, write_dataset
 
@@ -119,14 +119,23 @@ class TestDatasetIO:
         assert captured.err == ("error: line 2: invalid JSON: 'utf-8' codec can't decode byte "
                                 "0xff in position 9: invalid start byte\n")
 
-    def test_non_utf8_bytes_are_reached_after_earlier_lines_are_scored(self, tmp_path, capsys):
+    def test_non_utf8_bytes_are_reached_after_earlier_lines_are_scored(self, tmp_path, capsys,
+                                                                      monkeypatch):
         """The bytes are decoded line by line, not ahead of the lines before them."""
         path = tmp_path / "late.jsonl"
-        blank = {"id": "g", "task": "GVQA", "gt_intervals": [[1, 2]], "gt_answer": " ",
+        first = {"id": "g", "task": "GVQA", "gt_intervals": [[1, 2]], "gt_answer": "B",
                  "prediction": "<answer>B</answer><glue>1 to 2</glue>"}
-        path.write_bytes(json.dumps(blank).encode() + b"\n\xff\n")
+        path.write_bytes(json.dumps(first).encode() + b"\n\xff\n")
+        scored = []
+
+        def recording_total_reward(raw, *args, **kwargs):
+            scored.append(raw)
+            return total_reward(raw, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "total_reward", recording_total_reward)
         assert main(["reward", "--dataset", str(path)]) == 2
-        assert capsys.readouterr().err == "error: ground-truth answer must be non-empty\n"
+        assert scored == [first["prediction"]]
+        assert capsys.readouterr().err.startswith("error: line 2: invalid JSON: 'utf-8' codec")
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_line_endings_and_utf8_text_read_as_before(self, tmp_path, capsys, newline):
@@ -660,19 +669,22 @@ class TestStreamedDatasetErrors:
     BLANK = {"id": "g2", "task": "GVQA", "gt_intervals": [[1.0, 2.0]], "gt_answer": " \t",
              "prediction": "no answer block"}
 
-    def test_blank_gt_answer_is_loaded_and_scored_without_an_answer_block(self, tmp_path,
-                                                                          capsys):
+    def test_blank_gt_answer_is_refused_on_load_without_an_answer_block(self, tmp_path, capsys):
+        """The line alone decides: a blank ground truth is refused whatever the prediction."""
         path = self._dataset(tmp_path, json.dumps(self.BLANK))
-        assert [s.gt_answer for s in iter_dataset(path)][-1] == " \t"
-        assert main(["eval", "--dataset", str(path)]) == 0
-        assert "task=GVQA n_samples=2 " in capsys.readouterr().out
+        with pytest.raises(DatasetError, match="^line 5: sample g2: gt_answer must not be blank$"):
+            list(iter_dataset(path))
+        assert main(["eval", "--dataset", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 5: sample g2: gt_answer must not be blank\n"
 
     @pytest.mark.parametrize("command", ["eval", "reward"])
     @pytest.mark.parametrize("to_file", [False, True])
     def test_blank_gt_answer_against_an_answer_writes_nothing(self, tmp_path, capsys, command,
                                                               to_file):
         # a blank ground truth cannot be compared with a predicted answer; the
-        # error is raised while scoring, and the output is still written only at the end
+        # line is refused when it is read, and nothing is written
         blank = dict(self.BLANK, prediction="<answer>B</answer><glue>1.0 to 2.0</glue>")
         path = self._dataset(tmp_path, json.dumps(blank))
         out = tmp_path / "out.txt"
@@ -680,7 +692,7 @@ class TestStreamedDatasetErrors:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: ground-truth answer must be non-empty\n"
+        assert captured.err == "error: line 5: sample g2: gt_answer must not be blank\n"
         assert not out.exists()
 
 
@@ -707,6 +719,8 @@ def test_package_sums_no_floats_with_builtin_sum(monkeypatch, capsys):
         items = list(items)
         assert not any(isinstance(x, float) for x in [start, *items]), "a float sum()"
         return builtins.sum(items, start)
+
+    import temposcore.grpo  # loaded on first use: import it so it is patched even when run alone
 
     for name, module in list(sys.modules.items()):
         if name == "temposcore" or name.startswith("temposcore."):

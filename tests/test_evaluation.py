@@ -75,6 +75,9 @@ class TestSample:
             ({"id": ""}, "id must be a non-empty string"),
             ({"task": "TG"}, "unknown task tag 'TG'"),
             ({"task": TaskKind.GVQA, "gt_answer": 1}, "gt_answer must be a string"),
+            ({"task": TaskKind.GVQA, "gt_answer": ""}, "sample s: gt_answer must not be blank"),
+            ({"task": TaskKind.GVQA, "gt_answer": " \u2028"},
+             "sample s: gt_answer must not be blank"),
         ],
     )
     def test_constructor_checks_what_a_dataset_line_checks(self, fields, message):

@@ -39,6 +39,7 @@ from temposcore.grpo import (
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+TG_PROMPT = PromptSpec(TaskKind.TG, (Interval(0, 5),), (Interval(0, 5),))
 
 
 class TestGroupAdvantages:
@@ -1017,6 +1018,19 @@ class TestScenarios:
         prompt = PromptSpec(TaskKind.TG, (Interval(0, 5),), (Interval(0, 5),))
         with pytest.raises(ScenarioError) as info:
             Scenario(**{"name": "s", "prompts": (prompt,), **fields})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"prompts": (TG_PROMPT, {"task": "TG"})}, "prompt 1: must be a PromptSpec, not dict"),
+            ({"grpo": {"group_size": 4}}, "'grpo' must be a GrpoConfig or None, not dict"),
+        ],
+    )
+    def test_scenario_refuses_prompts_and_config_of_other_types(self, fields, message):
+        """Refused when built, not later as an AttributeError inside ``run_simulation``."""
+        with pytest.raises(ScenarioError) as info:
+            Scenario(**{"name": "s", "prompts": (TG_PROMPT,), **fields})
         assert str(info.value) == message
 
     def test_empty_scenario_is_refused_before_it_runs(self):

@@ -6,6 +6,9 @@ benchmark do not count, so a name only they call is not exported.
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,47 @@ def test_scenario_loaders_map_prompt_fields_and_check_none():
                and node.name in ("_prompt_from_dict", "scenario_from_dict")]
     assert len(loaders) == 2
     assert sorted(set().union(*(_uses(node, FIELD_CHECKERS) for node in loaders))) == []
+
+
+# Run in a fresh interpreter, where nothing has imported grpo or numpy yet.
+NUMPY_FREE = """
+import sys
+
+import temposcore
+from temposcore import cli
+
+corpus = "tests/fixtures/mixed_corpus.jsonl"
+for argv in (["eval", "--dataset", corpus], ["reward", "--dataset", corpus, "--tal-normalize"],
+             ["match", "--preds", "0-4,6-10", "--gts", "2-8", "--compare"]):
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules and "temposcore.grpo" not in sys.modules
+
+lazy = [name for name in temposcore.__all__ if name not in vars(temposcore)]
+assert lazy == list(temposcore._GRPO_NAMES), lazy
+assert set(dir(temposcore)) >= {*temposcore.__all__, "grpo"}
+try:
+    temposcore.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'temposcore' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("an unknown name resolved")
+assert "numpy" not in sys.modules
+
+from temposcore import grpo
+
+assert "numpy" in sys.modules
+for name in lazy:
+    assert getattr(temposcore, name) is getattr(grpo, name), name
+    assert getattr(grpo, name).__module__ == "temposcore.grpo", name
+star = {}
+exec("from temposcore import *", star)
+assert {name for name in star if not name.startswith("__")} == set(temposcore.__all__)
+"""
+
+
+def test_scoring_loads_no_numpy_and_grpo_names_load_on_first_use():
+    """``eval``, ``reward`` and ``match`` run without ``grpo``; its names still resolve."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE], cwd=ROOT, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
