@@ -160,7 +160,7 @@ def _match_table(preds: tuple[Interval, ...], gts: tuple[Interval, ...], compare
         lines.append(f"  p{i:<3} {row}")
 
     lines.append("dp table (rows 0..m, cols 0..n):")
-    for row in _dp_table(sp, sg)[0]:
+    for row in _dp_table(sp, sg):
         lines.append("  " + " ".join(f"{v:6.4f}" for v in row))
 
     dp = dp_match(preds, gts)

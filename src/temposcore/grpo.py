@@ -441,7 +441,8 @@ def grpo_step(
     input's ``ref_logps``, and with it that policy's tables, KL and KL gradient:
     one log-softmax and one ``prompt_kl`` per prompt per inner step. KL
     regularizes toward the input's reference; to regularize toward the
-    input itself, rebuild it from its params first.
+    input itself, rebuild it from its params first. An update that leaves a
+    logit non-finite raises ValueError naming ``learning_rate``.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1")
@@ -464,16 +465,23 @@ def grpo_step(
     new = policy
     total = cfg.group_size * len(policy.prompts)
     clip_fraction = 0.0
-    for _ in range(inner_steps):
-        clipped = 0
-        params = []
-        for i, batch in enumerate(batches):
-            _, grads, n_clipped = objective_and_gradients(new.tables[i], new.kls[i], *batch, cfg)
-            params.append({name: z + cfg.learning_rate * grads[name]
-                           for name, z in new.params[i].items()})
-            clipped += n_clipped
-        new = ToyPolicy(policy.prompts, params, policy.ref_logps)
-        clip_fraction = clipped / total if total else 0.0
+    # a learning rate too large for the doubles makes a logit inf or nan, and
+    # with it that prompt's KL nan: refused below, before anything samples it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(inner_steps):
+            clipped = 0
+            params = []
+            for i, batch in enumerate(batches):
+                _, grads, n_clipped = objective_and_gradients(
+                    new.tables[i], new.kls[i], *batch, cfg)
+                params.append({name: z + cfg.learning_rate * grads[name]
+                               for name, z in new.params[i].items()})
+                clipped += n_clipped
+            new = ToyPolicy(policy.prompts, params, policy.ref_logps)
+            if not all(math.isfinite(kl.value) for kl in new.kls):
+                raise ValueError(f"learning_rate {cfg.learning_rate:g} drove the logits "
+                                 "to non-finite values")
+            clip_fraction = clipped / total if total else 0.0
 
     kl_after = _left_sum(max(kl.value, 0.0) for kl in new.kls)
     mean_reward = _left_sum(all_rewards) / len(all_rewards) if all_rewards else 0.0

@@ -132,7 +132,11 @@ class IntervalSet:
 
     @property
     def measure(self) -> float:
-        return _left_sum(iv.length for iv in self.intervals)
+        return _measure(self.intervals)
+
+
+def _measure(xs: Iterable[tuple[float, float]]) -> float:
+    return _left_sum(end - start for start, end in xs)
 
 
 def _left_sum(xs: Iterable[float]) -> float:
@@ -148,7 +152,8 @@ def iou(a: Interval, b: Interval) -> float:
 
     The union in the denominator is |a| + |b| - |a∩b|. When both intervals
     are zero-length the ratio is 0/0; identical points count as 1, distinct
-    points as 0.
+    points as 0. When |a| + |b| overflows, the ratio is taken on the halved
+    endpoints, so every finite pair gets its IoU.
     """
     a_start, a_end = a
     b_start, b_end = b
@@ -159,7 +164,14 @@ def iou(a: Interval, b: Interval) -> float:
     union = (a_end - a_start) + (b_end - b_start) - inter
     if union <= 0.0:
         return 1.0 if a == b else 0.0
+    if union == math.inf:
+        return iou(_halved(a), _halved(b))
     return inter / union
+
+
+def _halved(iv: tuple[float, float]) -> tuple[float, float]:
+    """Both endpoints halved, exactly for normal doubles; keeps an IoU's union finite."""
+    return (iv[0] * 0.5, iv[1] * 0.5)
 
 
 def merge(xs: Iterable[Interval]) -> IntervalSet:
@@ -184,17 +196,17 @@ def merge(xs: Iterable[Interval]) -> IntervalSet:
     return IntervalSet(tuple(out))
 
 
-def _intersection_measure(a: IntervalSet, b: IntervalSet) -> float:
+def _intersection_measure(xs: tuple[Interval, ...], ys: tuple[Interval, ...]) -> float:
     i = j = 0
     total = 0.0
-    while i < len(a.intervals) and j < len(b.intervals):
-        x = a.intervals[i]
-        y = b.intervals[j]
-        lo = max(x.start, y.start)
-        hi = min(x.end, y.end)
+    while i < len(xs) and j < len(ys):
+        x_start, x_end = xs[i]
+        y_start, y_end = ys[j]
+        lo = max(x_start, y_start)
+        hi = min(x_end, y_end)
         if hi > lo:
             total += hi - lo
-        if x.end <= y.end:
+        if x_end <= y_end:
             i += 1
         else:
             j += 1
@@ -205,10 +217,16 @@ def set_iou(a: IntervalSet, b: IntervalSet) -> float:
     """IoU between two canonical interval sets, in [0, 1].
 
     Two empty sets score 0 by convention: an empty prediction earns nothing.
-    Sets of identical degenerate points score 1, mirroring :func:`iou`.
+    Sets of identical degenerate points score 1, mirroring :func:`iou`, and
+    measures whose sum overflows are taken on the halved endpoints, as there.
     """
-    inter = _intersection_measure(a, b)
+    inter = _intersection_measure(a.intervals, b.intervals)
     union = a.measure + b.measure - inter
     if union <= 0.0:
         return 1.0 if (a.intervals and a.intervals == b.intervals) else 0.0
+    if union == math.inf:
+        xs = tuple(map(_halved, a.intervals))
+        ys = tuple(map(_halved, b.intervals))
+        inter = _intersection_measure(xs, ys)
+        union = _measure(xs) + _measure(ys) - inter
     return inter / union

@@ -130,18 +130,15 @@ def instance_number_reward(n_pred: int, n_gt: int, sigma: float) -> float:
     return math.exp(-abs(n_pred - n_gt) / (min(n_gt, 3) * sigma))
 
 
-_Window = tuple[int, list[float]]
-
-
-def _dp_table(sp: list[Interval], sg: list[Interval]) -> tuple[list[list[float]], list[_Window]]:
+def _dp_table(sp: list[Interval], sg: list[Interval]) -> list[list[float]]:
     """DP table of the monotone matching of two chronologically sorted lists.
 
     ``d[i][j]`` is the best summed IoU of the first i predictions against the
-    first j ground truths. Prediction i also gets a window ``(lo, ious)``:
-    ``ious[k]`` is its :func:`iou` with ground truth ``lo + k``; outside the
-    window its IoU is exactly 0.0. A non-zero IoU needs ``g.start <= p.end``
-    (bounded by a bisect on the sorted starts) and ``g.end >= p.start``
-    (bounded by a bisect on the running maximum of the ends).
+    first j ground truths; the table is all the DP keeps. Prediction i can
+    have a non-zero :func:`iou` only with the ground truths in a window: it
+    needs ``g.start <= p.end`` (bounded by a bisect on the sorted starts) and
+    ``g.end >= p.start`` (bounded by a bisect on the running maximum of the
+    ends); outside the window its IoU is exactly 0.0.
 
     A zero cell never changes the recurrence: ``d[i-1][j-1] + 0.0`` never
     beats ``d[i-1][j]`` because rows are non-decreasing. So row i equals row
@@ -154,18 +151,13 @@ def _dp_table(sp: list[Interval], sg: list[Interval]) -> tuple[list[list[float]]
     reach = list(accumulate((g.end for g in sg), max))
     prev = [0.0] * (n + 1)
     d = [prev]
-    windows: list[_Window] = []
     for p in sp:
         lo = bisect_left(reach, p.start)
         hi = bisect_right(g_start, p.end)
-        ious: list[float] = []
-        windows.append((lo, ious))
         row = prev[:]
         left = row[lo]
         for j in range(lo, hi):
-            v = iou(p, sg[j])
-            ious.append(v)
-            best = prev[j] + v
+            best = prev[j] + iou(p, sg[j])
             if best < left:
                 best = left
             up = prev[j + 1]
@@ -178,7 +170,7 @@ def _dp_table(sp: list[Interval], sg: list[Interval]) -> tuple[list[list[float]]
             row[j] = left
         d.append(row)
         prev = row
-    return d, windows
+    return d
 
 
 def dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
@@ -190,7 +182,9 @@ def dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
     truth, then skipping a prediction, which makes the reported pairing
     deterministic and maximizes the number of matched pairs among
     sIoU-equal solutions. Only cells that can have a non-zero IoU are
-    computed (see :func:`_dp_table`).
+    computed (see :func:`_dp_table`), and only the table is kept: the
+    backtrack asks :func:`iou` again for each cell on its path, which gives
+    the forward pass's double, exactly 0.0 outside a row's window.
     """
     if not gts:
         raise ValueError("ground truth must contain at least one interval")
@@ -200,15 +194,13 @@ def dp_match(preds: Sequence[Interval], gts: Sequence[Interval]) -> MatchResult:
     sp = sorted(preds)
     sg = sorted(gts)
     m, n = len(sp), len(sg)
-    d, windows = _dp_table(sp, sg)
+    d = _dp_table(sp, sg)
 
     pairs: list[tuple[int, int]] = []
     pair_ious: list[float] = []
     i, j = m, n
     while i > 0 and j > 0:
-        lo, ious = windows[i - 1]
-        k = j - 1 - lo
-        v = ious[k] if 0 <= k < len(ious) else 0.0
+        v = iou(sp[i - 1], sg[j - 1])
         skip_pred = d[i - 1][j]
         skip_gt = d[i][j - 1]
         diag = d[i - 1][j - 1] + v

@@ -497,6 +497,20 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == f"error: {name} must be >= 0\n"
 
+    def test_learning_rate_too_large_for_the_logits_exits_2(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "out.txt"
+        argv = ["simulate", "--scenario", str(SCENARIOS / "tg_basic.json"), "--steps", "20",
+                "--out", str(out)]
+        assert main([*argv, "--learning-rate", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: learning_rate 1e+308 drove the logits "
+                                "to non-finite values\n")
+        assert not out.exists()
+        assert main([*argv, "--learning-rate", "1e300"]) == 0
+        assert capsys.readouterr().err == ""
+        assert not recwarn.list  # numpy's overflow warnings would reach stderr outside pytest
+
     def test_tg_prompt_takes_one_ground_truth_interval(self, tmp_path, capsys):
         """As a dataset TG line does; two would cap the best reward at 1.5, not 2.0."""
         path = tmp_path / "two.json"
@@ -694,6 +708,18 @@ class TestStreamedDatasetErrors:
         assert captured.out == ""
         assert captured.err == "error: line 5: sample g2: gt_answer must not be blank\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, fragment", [
+    ("reward", "id=big task=TG format=1 loc=1.0000 cls=- total=2.0000"),
+    ("eval", "task=TG n_samples=1 n_parse_failures=0 miou=1.0000 r@0.3=1.0000"),
+], ids=["reward", "eval"])
+def test_interval_lengths_summing_past_the_largest_double(tmp_path, capsys, command, fragment):
+    path = tmp_path / "big.jsonl"
+    path.write_text(json.dumps({"id": "big", "task": "TG", "gt_intervals": [[0, 1e308]],
+                                "prediction": "<answer>0 to 1e308</answer>"}) + "\n")
+    assert main([command, "--dataset", str(path)]) == 0
+    assert fragment in capsys.readouterr().out
 
 
 def test_fixture_script_check_finds_no_drift():

@@ -1,9 +1,10 @@
 import math
 import pickle
+import sys
 from operator import attrgetter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from helpers import checked_interval_from_pair
 from temposcore import Interval, IntervalSet, iou, merge, set_iou
@@ -14,14 +15,20 @@ def ivs(pairs):
     return [Interval(s, e) for s, e in pairs]
 
 
-def positive_interval(max_t=100.0):
-    return (
-        st.tuples(
-            st.floats(0.0, max_t, allow_nan=False, allow_infinity=False),
-            st.floats(0.0, max_t, allow_nan=False, allow_infinity=False),
-        )
-        .map(lambda p: Interval(min(p), max(p)))
-    )
+def positive_interval(max_t, min_t=0.0):
+    """Intervals with endpoints 0.0 or in [min_t, max_t]."""
+    times = st.floats(min_t, max_t, allow_nan=False, allow_infinity=False)
+    if min_t > 0.0:
+        times = st.one_of(st.just(0.0), times)
+    return st.tuples(times, times).map(lambda p: Interval(min(p), max(p)))
+
+
+# every finite interval: subnormal endpoints, and lengths whose sum overflows
+finite_interval = positive_interval(sys.float_info.max)
+# endpoints that halve and scale by 2**-400 exactly: no subnormal on the way
+normal_interval = positive_interval(sys.float_info.max, min_t=2.0**-500)
+# endpoints in [0, 100]: rounding stays below an absolute 1e-9 slack
+hundred_second_interval = positive_interval(100.0)
 
 
 # timestamps at millisecond resolution: differences stay far above the ulp,
@@ -158,17 +165,32 @@ class TestIou:
     def test_point_inside_interval_scores_zero(self):
         assert iou(Interval(5, 5), Interval(0, 10)) == 0.0
 
-    @given(positive_interval(), positive_interval())
+    @given(finite_interval, finite_interval)
     def test_symmetric(self, a, b):
         assert iou(a, b) == iou(b, a)
 
-    @given(positive_interval(), positive_interval())
+    @given(finite_interval, finite_interval)
     def test_bounded(self, a, b):
         assert 0.0 <= iou(a, b) <= 1.0
 
-    @given(positive_interval())
+    @given(finite_interval.filter(lambda iv: iv.length > 0))
+    @example(Interval(0.0, sys.float_info.max))
+    @example(Interval(5e-324, 1e-323))
     def test_self_iou_is_one(self, a):
         assert iou(a, a) == 1.0
+
+    @given(normal_interval, normal_interval, st.integers(0, 400))
+    @example(Interval(0.0, 1e308), Interval(5e307, 1.5e308), 1)
+    def test_invariant_under_power_of_two_scaling(self, a, b, k):
+        scale = 2.0**-k
+        assert iou(a, b) == iou(Interval(a.start * scale, a.end * scale),
+                                Interval(b.start * scale, b.end * scale))
+
+    def test_overflowing_union(self):
+        # |a| + |b| is inf here: scored on halved endpoints, not as inter / inf
+        big = Interval(0.0, 1e308)
+        assert iou(big, big) == 1.0
+        assert iou(Interval(0.0, 1e308), Interval(5e307, 1.5e308)) == 1 / 3
 
 
 class TestMerge:
@@ -193,7 +215,7 @@ class TestMerge:
         with pytest.raises(ValueError):
             IntervalSet(tuple(ivs([(0, 2), (2, 3)])))
 
-    @given(st.lists(positive_interval(), max_size=12))
+    @given(st.lists(finite_interval, max_size=12))
     def test_idempotent(self, xs):
         once = merge(xs)
         assert merge(once.intervals) == once
@@ -204,7 +226,7 @@ class TestMerge:
         assert len(merged.intervals) == 10
         assert merged.measure == 0.9999999999999999
 
-    @given(st.lists(positive_interval(), max_size=12))
+    @given(st.lists(hundred_second_interval, max_size=12))
     def test_measure_at_most_sum_of_lengths(self, xs):
         merged = merge(xs)
         total = sum(iv.length for iv in xs)
@@ -225,7 +247,7 @@ class TestMerge:
         else:
             assert merged.measure < total
 
-    @given(st.lists(positive_interval(), min_size=1, max_size=12))
+    @given(st.lists(finite_interval, min_size=1, max_size=12))
     def test_covers_all_endpoints(self, xs):
         merged = merge(xs)
 
@@ -257,10 +279,29 @@ class TestSetIou:
         a = merge(ivs([(2, 2)]))
         assert set_iou(a, a) == 1.0
 
-    @given(st.lists(positive_interval(), max_size=8), st.lists(positive_interval(), max_size=8))
+    def test_overflowing_measures(self):
+        a = merge(ivs([(0, 1e308)]))
+        assert set_iou(a, a) == 1.0
+        # measures 1e308 each, their sum inf: scored as the same sets halved
+        b = merge(ivs([(0, 5e307), (1e308, 1.5e308)]))
+        halved = set_iou(merge(ivs([(0, 5e307)])), merge(ivs([(0, 2.5e307), (5e307, 7.5e307)])))
+        assert set_iou(a, b) == halved == 1 / 3
+
+    @given(st.lists(finite_interval, max_size=8), st.lists(finite_interval, max_size=8))
     def test_symmetric(self, xs, ys):
         a, b = merge(xs), merge(ys)
         assert set_iou(a, b) == pytest.approx(set_iou(b, a), abs=1e-12)
+
+    @given(st.lists(finite_interval, max_size=8), st.lists(finite_interval, max_size=8))
+    def test_bounded(self, xs, ys):
+        assert 0.0 <= set_iou(merge(xs), merge(ys)) <= 1.0
+
+    @given(st.lists(finite_interval, min_size=1, max_size=8))
+    @example([Interval(0.0, sys.float_info.max)])
+    def test_self_iou_is_one(self, xs):
+        a = merge(xs)
+        assume(a.measure > 0.0)
+        assert set_iou(a, a) == 1.0
 
     @given(
         st.lists(positive_length_interval, min_size=1, max_size=8),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +199,19 @@ class TestDpMatch:
         want = dense_dp_match(preds, gts)
         assert got.siou.hex() == want.siou.hex()
         assert got == want
+
+    def test_keeps_only_the_table(self):
+        # every cell of 300 identical intervals overlaps: the table, one boxed
+        # float per cell (8-byte pointer, 24-byte float), is all that stays
+        xs = ivs([(0, 100)] * 300)
+        tracemalloc.start()
+        try:
+            m = dp_match(xs, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.siou == 300.0
+        assert peak / 301**2 <= 48
 
     @given(interval_lists, interval_lists)
     def test_pairs_strictly_monotone(self, preds, gts):
