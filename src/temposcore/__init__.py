@@ -1,9 +1,10 @@
 """Rewards, interval matching, and evaluation for temporal video understanding RL.
 
-The scoring side (intervals, parsing, rewards, evaluation, records) needs
-only the standard library. The GRPO names and ``temposcore.grpo`` load the
-``grpo`` module, and numpy with it, on first access (PEP 562), so code that
-only scores never imports numpy.
+The scoring side (intervals, parsing, rewards, evaluation, records) and the
+scenario files (scenarios) need only the standard library; grpo needs
+numpy. The names of ``scenarios`` and ``grpo``, and the two modules, load
+on first access (PEP 562), so code that only scores imports neither, and
+code that only loads scenarios never imports numpy.
 """
 
 import importlib
@@ -42,34 +43,36 @@ from .rewards import (
 
 __version__ = "0.1.0"
 
-# served from temposcore.grpo on first access
-_GRPO_NAMES = (
-    "GrpoConfig",
-    "PromptSpec",
-    "Scenario",
-    "ScenarioError",
-    "SimulationResult",
-    "StepStats",
-    "ToyPolicy",
-    "group_advantages",
-    "grpo_step",
-    "load_scenario",
-    "run_simulation",
-    "standard_reward_fn",
-    "uniform_grid",
-)
+# each name is served on first access from the module it maps to
+_LAZY_NAMES = {
+    "GrpoConfig": "scenarios",
+    "PromptSpec": "scenarios",
+    "Scenario": "scenarios",
+    "ScenarioError": "scenarios",
+    "SimulationResult": "grpo",
+    "StepStats": "grpo",
+    "ToyPolicy": "grpo",
+    "group_advantages": "grpo",
+    "grpo_step": "grpo",
+    "load_scenario": "scenarios",
+    "run_simulation": "grpo",
+    "standard_reward_fn": "grpo",
+    "uniform_grid": "scenarios",
+}
+_LAZY_MODULES = ("grpo", "scenarios")
 
 
 def __getattr__(name: str):
     # importlib: "from . import grpo" here would ask this function for "grpo" again
-    if name == "grpo" or name in _GRPO_NAMES:
-        grpo = importlib.import_module(".grpo", __name__)
-        return grpo if name == "grpo" else getattr(grpo, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = name if name in _LAZY_MODULES else _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_GRPO_NAMES, "grpo"})
+    return sorted({*globals(), *_LAZY_NAMES, *_LAZY_MODULES})
 
 
 __all__ = [
@@ -79,7 +82,7 @@ __all__ = [
     "TAL_THRESHOLDS",
     "TaskBlock",
     "aggregate",
-    *_GRPO_NAMES,
+    *_LAZY_NAMES,
     "Interval",
     "IntervalSet",
     "iou",

@@ -1,13 +1,18 @@
 import builtins
+import contextlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st, given
 
 from temposcore import TaskKind, DatasetError, cli, iter_dataset, total_reward
 from temposcore.cli import main, parse_inline_intervals
@@ -380,6 +385,28 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ((), "unknown scenario key 'a\\nb'"),
+            (("prompts", 0), "prompt 0: unknown scenario key 'a\\nb'"),
+            (("grpo",), "unknown scenario key 'grpo.a\\nb'"),
+        ],
+        ids=["scenario", "prompt", "grpo"],
+    )
+    def test_unknown_key_with_a_newline_is_named_on_one_line(self, tmp_path, capsys, where,
+                                                             message):
+        doc = {"grpo": {}, "prompts": [{"task": "TG", "duration": 10, "grid_step": 5,
+                                        "gt_intervals": [[0, 5]]}]}
+        obj = doc
+        for key in where:
+            obj = obj[key]
+        obj["a\nb"] = 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_non_object_prompt_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"prompts": [1]}))
@@ -428,6 +455,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(path), "--steps", "1"]) == 2
         where = "" if scenario else "prompt 0: "
         assert f"error: {where}{fragment}" in capsys.readouterr().err
+
+    def test_grid_step_past_the_duration_exits_2(self, tmp_path, capsys):
+        """A grid_step larger than the duration builds no grid, not a 0-7 candidate."""
+        path, out = tmp_path / "bad.json", tmp_path / "out.txt"
+        path.write_text(json.dumps({"prompts": [{"task": "TG", "duration": 5, "grid_step": 7,
+                                                 "gt_intervals": [[0, 5]]}]}))
+        args = ["simulate", "--scenario", str(path), "--steps", "1", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: prompt 0: grid_step is larger than the duration\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "pairs, fragment",
@@ -765,3 +803,100 @@ def test_package_sums_no_floats_with_builtin_sum(monkeypatch, capsys):
     steps = capsys.readouterr().out.splitlines()[1:11]
     golden = (FIXTURES / "simulate_multitask_five_s3.txt").read_text().splitlines()
     assert steps == golden[1:11]
+
+
+# ---------------------------------------------------------------------------
+# Scenario files through cli.main: one field of a valid file mutated
+
+# a small valid scenario: every kind of prompt key, a grpo block, a 10-candidate grid
+CONTRACT_SCENARIO = {
+    "name": "contract",
+    "grpo": {"group_size": 4, "clip_eps": 0.2, "kl_beta": 0.04, "learning_rate": 0.5,
+             "std_floor": 1e-6},
+    "prompts": [
+        {"task": "TG", "duration": 20, "grid_step": 5, "gt_intervals": [[5, 10]]},
+        {"task": "GVQA", "gt_intervals": [[0, 5]], "grid": [[0, 5], [5, 10]],
+         "max_instances": 1, "options": ["A", "B"], "gt_answer": "B"},
+        {"task": "TAL", "duration": 20.0, "grid_step": 5.0, "max_instances": 3,
+         "gt_intervals": [[0, 5], [10, 20]]},
+    ],
+}
+# JSON that Python's json.dumps does not write: an exponent past the largest double
+_BIG = "__1e400__"
+MUTATIONS = ("bool", "numeric string", "nested list", "1e400", "Infinity", "missing key",
+             "unknown key", "lone surrogate")
+REPLACEMENTS = {
+    "bool": st.booleans(),
+    "numeric string": st.sampled_from(["5", "1e3", "-0", "0x10", " 7"]),
+    "nested list": st.sampled_from([[[1, [2]]], [[[]]], [[0, 5], [[5, 10]]]]),
+    "1e400": st.just(_BIG),
+    "Infinity": st.sampled_from([float("inf"), float("-inf")]),
+    "lone surrogate": st.sampled_from(["\ud800", "B\udfff", "a\ud83d"]),
+}
+# odd names an unknown key can have too
+UNKNOWN_KEYS = st.sampled_from(["bogus", "Task", "a b", "a\nb", "\ud800", ""])
+
+
+def _paths(doc, prefix=()):
+    """The path of every value inside ``doc``: dict keys and list indices."""
+    if not isinstance(doc, (dict, list)):
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield (*prefix, key)
+        yield from _paths(value, (*prefix, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_scenario(draw):
+    """(JSON text, the mutated path): one field of the valid file changed."""
+    doc = json.loads(json.dumps(CONTRACT_SCENARIO))
+    kind = draw(st.sampled_from(MUTATIONS))
+    if kind == "unknown key":
+        objects = [()] + [p for p in _paths(doc) if isinstance(_at(doc, p), dict)]
+        path = draw(st.sampled_from(objects))
+        key = draw(UNKNOWN_KEYS)
+        _at(doc, path).setdefault(key, 1)
+        path = (*path, key)
+    else:
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent = _at(doc, path[:-1])
+        if kind == "missing key":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(REPLACEMENTS[kind])
+    return json.dumps(doc).replace(json.dumps(_BIG), "1e400"), path
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mutated_scenario())
+def test_mutated_scenario_exits_0_or_2_with_one_error_line(case):
+    """Exit 0, or exit 2 with one error line and no output file; no traceback or warning.
+
+    A fault inside prompt N is reported as ``error: prompt N: ...``.
+    """
+    text, path = case
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp) / "s.json", Path(tmp) / "out.txt"
+        scenario.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["simulate", "--scenario", str(scenario), "--steps", "0",
+                         "--out", str(out)])
+        assert caught == []
+        err = err.getvalue()
+        assert code in (0, 2), err
+        if code == 0:
+            assert err == "" and out.read_text(encoding="utf-8").startswith("scenario=")
+            return
+        assert not out.exists()
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+        # a fault inside prompt N is named by it; deleting a whole prompt is no fault
+        if len(path) > 2 and path[0] == "prompts":
+            assert err.startswith(f"error: prompt {path[1]}: "), err

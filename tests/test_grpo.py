@@ -21,21 +21,24 @@ from temposcore import (
     uniform_grid,
 )
 import temposcore.grpo as grpo
+import temposcore.scenarios as scenarios
 from temposcore.parsing import ParsedOutput, _field_fault, _is_answer_text, serialize
 from temposcore.grpo import (
-    MAX_GRID_CANDIDATES,
-    MAX_GROUP_SIZE,
-    MAX_SLOT_LOGITS,
     HeadTables,
-    PromptSpec,
     SampledResponse,
-    Scenario,
     objective_and_gradients,
     prompt_kl,
     response_log_prob,
     sample_group,
-    scenario_from_dict,
     standard_reward_fn,
+)
+from temposcore.scenarios import (
+    MAX_GRID_CANDIDATES,
+    MAX_GROUP_SIZE,
+    MAX_SLOT_LOGITS,
+    PromptSpec,
+    Scenario,
+    scenario_from_dict,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -811,6 +814,25 @@ class TestScenarios:
         assert len(grid) == 55  # C(11, 2) ordered endpoint pairs
         assert Interval(20.0, 30.0) in grid
 
+    @pytest.mark.parametrize(
+        "duration, step, last",
+        [
+            (10.0, 5.9, 5.9),  # round(10 / 5.9) = 2 would reach 11.8
+            (10.0, 3.4, 6.8),
+            (0.3, 0.1, 0.3),  # the float ratio is 2.9999999999999996
+            (300.0, 10.0, 300.0),
+            (0.9999999996, 0.4999999998, 0.5),  # 2 steps round to 1.0, past the duration
+        ],
+    )
+    def test_uniform_grid_never_passes_the_duration(self, duration, step, last):
+        assert max(iv.end for iv in uniform_grid(duration, step)) == last
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(50.0, 300.0), st.floats(1.0, 50.0))
+    def test_uniform_grid_takes_every_point_up_to_the_duration(self, duration, step):
+        n = len({iv.end for iv in uniform_grid(duration, step)})
+        assert round(n * step, 9) <= duration < round((n + 1) * step, 9)
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ScenarioError, match="unknown scenario key 'foo'"):
             scenario_from_dict({"name": "x", "prompts": [], "foo": 1})
@@ -921,7 +943,7 @@ class TestScenarios:
         def no_intervals(*args):
             raise AssertionError("grid built before its size was checked")
 
-        monkeypatch.setattr(grpo, "Interval", no_intervals)
+        monkeypatch.setattr(scenarios, "Interval", no_intervals)
         # 6,000 steps: 6000 * 6001 / 2 candidates, about 18M intervals
         with pytest.raises(ScenarioError, match="18003000 candidates exceeds the limit"):
             uniform_grid(600.0, 0.1)

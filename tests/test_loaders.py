@@ -1,6 +1,6 @@
 """The JSON loaders only map fields: the constructors own every rule.
 
-``records.sample_from_record`` and ``grpo.scenario_from_dict`` check a
+``records.sample_from_record`` and ``scenarios.scenario_from_dict`` check a
 record's shape (object, key set), map its fields (task tag, defaults,
 ``grid_step`` expansion) and call ``Sample``, ``PromptSpec`` or ``Scenario``.
 So a loader either returns what the constructor returns for the same
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from temposcore.evaluation import Sample
-from temposcore.grpo import PromptSpec, Scenario, ScenarioError, scenario_from_dict
+from temposcore.scenarios import PromptSpec, Scenario, ScenarioError, scenario_from_dict
 from temposcore.parsing import TaskKind
 from temposcore.records import DatasetError, sample_from_record
 

@@ -80,16 +80,36 @@ def test_records_maps_dataset_fields_and_checks_none():
 
 def test_scenario_loaders_map_prompt_fields_and_check_none():
     """Every prompt and scenario rule lives in ``PromptSpec`` and ``Scenario``."""
-    tree = ast.parse((PACKAGE / "grpo.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "scenarios.py").read_text(encoding="utf-8"))
     loaders = [node for node in tree.body if isinstance(node, ast.FunctionDef)
                and node.name in ("_prompt_from_dict", "scenario_from_dict")]
     assert len(loaders) == 2
     assert sorted(set().union(*(_uses(node, FIELD_CHECKERS) for node in loaders))) == []
 
 
+def _defined(path: Path) -> set[str]:
+    """The names a module's top level defines, imports not counted."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_grpo_defines_no_scenario_or_config_name():
+    """Scenario files and the optimizer config have one home, ``scenarios``."""
+    scenario_names = _defined(PACKAGE / "scenarios.py")
+    assert {"GrpoConfig", "Scenario", "load_scenario", "uniform_grid"} <= scenario_names
+    assert sorted(scenario_names & _defined(PACKAGE / "grpo.py")) == []
+
+
 # Run in a fresh interpreter, where nothing has imported grpo or numpy yet.
 NUMPY_FREE = """
 import sys
+from pathlib import Path
 
 import temposcore
 from temposcore import cli
@@ -98,11 +118,11 @@ corpus = "tests/fixtures/mixed_corpus.jsonl"
 for argv in (["eval", "--dataset", corpus], ["reward", "--dataset", corpus, "--tal-normalize"],
              ["match", "--preds", "0-4,6-10", "--gts", "2-8", "--compare"]):
     assert cli.main(argv) == 0, argv
-assert "numpy" not in sys.modules and "temposcore.grpo" not in sys.modules
+assert not {"numpy", "temposcore.grpo", "temposcore.scenarios"} & set(sys.modules)
 
 lazy = [name for name in temposcore.__all__ if name not in vars(temposcore)]
-assert lazy == list(temposcore._GRPO_NAMES), lazy
-assert set(dir(temposcore)) >= {*temposcore.__all__, "grpo"}
+assert lazy == list(temposcore._LAZY_NAMES), lazy
+assert set(dir(temposcore)) >= {*temposcore.__all__, "grpo", "scenarios"}
 try:
     temposcore.no_such_name
 except AttributeError as exc:
@@ -111,12 +131,30 @@ else:
     raise AssertionError("an unknown name resolved")
 assert "numpy" not in sys.modules
 
+from temposcore import scenarios
+
+files = sorted(Path("scenarios").glob("*.json"))
+assert len(files) == 3, files
+for path in files:
+    assert scenarios.load_scenario(path).prompts, path
+try:
+    scenarios.scenario_from_dict({"prompts": [{"task": "TG", "grid": [[0, 5]]}]})
+except scenarios.ScenarioError as exc:
+    assert str(exc) == "prompt 0: missing gt_intervals", exc
+else:
+    raise AssertionError("a prompt without gt_intervals loaded")
+for name, module in temposcore._LAZY_NAMES.items():
+    if module == "scenarios":
+        assert getattr(temposcore, name) is getattr(scenarios, name), name
+assert "numpy" not in sys.modules and "temposcore.grpo" not in sys.modules
+
 from temposcore import grpo
 
 assert "numpy" in sys.modules
-for name in lazy:
-    assert getattr(temposcore, name) is getattr(grpo, name), name
-    assert getattr(grpo, name).__module__ == "temposcore.grpo", name
+for name, module in temposcore._LAZY_NAMES.items():
+    home = sys.modules[f"temposcore.{module}"]
+    assert getattr(temposcore, name) is getattr(home, name), name
+    assert getattr(home, name).__module__ == home.__name__, name
 star = {}
 exec("from temposcore import *", star)
 assert {name for name in star if not name.startswith("__")} == set(temposcore.__all__)
@@ -124,7 +162,10 @@ assert {name for name in star if not name.startswith("__")} == set(temposcore.__
 
 
 def test_scoring_loads_no_numpy_and_grpo_names_load_on_first_use():
-    """``eval``, ``reward`` and ``match`` run without ``grpo``; its names still resolve."""
+    """Scoring imports neither ``scenarios`` nor ``grpo``; scenarios load without numpy.
+
+    Every lazily served name still resolves, to the object its home module defines.
+    """
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", NUMPY_FREE], cwd=ROOT, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
